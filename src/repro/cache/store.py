@@ -12,7 +12,10 @@ get here.  Two tiers:
   half-written entry.  Reads are corruption-tolerant: unreadable or
   non-JSON files read as ``None`` and are unlinked best-effort.
   Eviction trims oldest-modified entries once the directory exceeds
-  its byte cap.
+  its byte cap.  Each process keeps a running byte total per
+  directory, so a write under the cap costs O(1): the directory is
+  scanned once to seed the total and again only when it crosses the
+  cap.
 
 Neither tier interprets the documents: fingerprint verification and
 re-validation against the live problem happen one layer up, in
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any
@@ -35,6 +39,17 @@ DEFAULT_DISK_BYTES = 64 * 1024 * 1024
 
 #: Default entry cap of the in-process LRU.
 DEFAULT_MEMORY_ENTRIES = 256
+
+#: Name prefix of a writer's in-flight temp file; never an entry.
+_TMP_PREFIX = ".tmp-"
+
+#: Running byte total of each disk directory this process writes to,
+#: by resolved path: what its last scan found plus this process's own
+#: writes since.  Kept per process rather than per DiskStore, since
+#: pool workers build a fresh MappingCache (and so a fresh DiskStore)
+#: for every batch.  A missing directory is seeded by its next put.
+_DIR_BYTES: dict[str, int] = {}
+_DIR_BYTES_LOCK = threading.Lock()
 
 
 class MemoryStore:
@@ -77,6 +92,17 @@ class DiskStore:
     Safe to share between processes: writes are temp-file + rename,
     reads tolerate missing/corrupt files, and eviction races degrade
     to best-effort deletes.
+
+    The byte cap is enforced against a per-process running total
+    (:data:`_DIR_BYTES`): the first put scans the directory, later
+    puts add their size change, and only a total over ``max_bytes``
+    triggers the scan-and-trim, which resets the total to what the
+    scan left.  With one writing process the directory never exceeds
+    ``max_bytes`` after ``put`` returns.  With W processes writing one
+    directory each counts only its own writes since its last scan, so
+    the directory stays within W x ``max_bytes``.  A total that is too
+    high (another process trimmed, or this one invalidated an entry)
+    only brings the next scan forward.
     """
 
     def __init__(
@@ -85,6 +111,7 @@ class DiskStore:
         self.root = Path(root)
         self.max_bytes = max_bytes
         self.root.mkdir(parents=True, exist_ok=True)
+        self._dir_id = os.path.realpath(self.root)
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -109,67 +136,97 @@ class DiskStore:
 
     def put(self, key: str, doc: dict[str, Any]) -> None:
         path = self._path(key)
+        blob = json.dumps(doc, sort_keys=True).encode()
+        try:
+            replaced = path.stat().st_size
+        except OSError:
+            replaced = 0
+        tmp = None
         try:
             fd, tmp = tempfile.mkstemp(
-                prefix=".tmp-", suffix=".json", dir=str(self.root)
+                prefix=_TMP_PREFIX, suffix=".json", dir=str(self.root)
             )
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, sort_keys=True)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(blob)
+            # The rename leaves the entry with the newest mtime, which
+            # is all oldest-first eviction needs.
             os.replace(tmp, path)
         except OSError:
             # A full or read-only disk must never fail the mapping
             # call; the entry is simply not persisted.
-            try:
-                os.unlink(tmp)
-            except (OSError, UnboundLocalError):
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
             return
-        os.utime(path)  # freshen mtime for LRU eviction
-        self._evict()
+        with _DIR_BYTES_LOCK:
+            total = _DIR_BYTES.get(self._dir_id)
+            if total is not None:
+                total += len(blob) - replaced
+                _DIR_BYTES[self._dir_id] = total
+        # The first put seeds the total; a put past the cap trims.
+        if total is None or total > self.max_bytes:
+            self._evict()
 
     def invalidate(self, key: str) -> None:
+        # The running total keeps the removed bytes: too high is safe.
         try:
             self._path(key).unlink()
         except OSError:
             pass
 
-    def _entries(self) -> list[tuple[float, int, Path]]:
-        """(mtime, size, path) of every entry, oldest first."""
+    def _entries(self) -> list[tuple[float, int, str]]:
+        """(mtime, size, path) of every entry, oldest first.
+
+        Other writers' in-flight temp files are not entries: counting
+        them would report half-written files, and deleting one would
+        fail its writer's rename and silently drop that entry.
+        """
         out = []
         try:
-            paths = list(self.root.glob("*.json"))
+            with os.scandir(self.root) as it:
+                for entry in it:
+                    name = entry.name
+                    if (not name.endswith(".json")
+                            or name.startswith(_TMP_PREFIX)):
+                        continue
+                    try:
+                        st = entry.stat()
+                    except OSError:
+                        continue
+                    out.append((st.st_mtime, st.st_size, entry.path))
         except OSError:
             return []
-        for p in paths:
-            try:
-                st = p.stat()
-            except OSError:
-                continue
-            out.append((st.st_mtime, st.st_size, p))
         out.sort()
         return out
 
     def _evict(self) -> None:
+        """Trim oldest entries down to the cap; reset the running total."""
         entries = self._entries()
         total = sum(size for _, size, _ in entries)
         for _, size, path in entries:
             if total <= self.max_bytes:
                 break
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 continue
             total -= size
+        _DIR_BYTES[self._dir_id] = total
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
         removed = 0
         for _, _, path in self._entries():
             try:
-                path.unlink()
+                os.unlink(path)
                 removed += 1
             except OSError:
                 pass
+        # Other writers may have added entries meanwhile: rescan on
+        # the next put rather than assume the directory is empty.
+        _DIR_BYTES.pop(self._dir_id, None)
         return removed
 
     def stats(self) -> dict[str, Any]:

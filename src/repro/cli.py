@@ -661,11 +661,14 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
+def _add_cache_flags(
+    parser: argparse.ArgumentParser,
+    cache_help: str = "enable the content-addressed mapping cache",
+) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--cache", dest="cache", action="store_true", default=None,
-        help="enable the content-addressed mapping cache",
+        help=cache_help,
     )
     group.add_argument(
         "--no-cache", dest="cache", action="store_false",
@@ -868,7 +871,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-rung budget of the pool's shutdown escalation"
              " ladder on SIGTERM/SIGINT",
     )
-    _add_cache_flags(p)
+    _add_cache_flags(
+        p,
+        cache_help="enable the mapping cache; without --cache-dir each"
+                   " pool worker gets a fresh memory tier per batch, so"
+                   " nothing is reused across batches (use --cache-dir"
+                   " for that)",
+    )
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(

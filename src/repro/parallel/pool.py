@@ -132,17 +132,20 @@ def _install_cache(spec: tuple | None) -> None:
 
     The worker's fork-time cache snapshot is stale the moment the
     parent enters or leaves a ``cache_scope``, so each batch installs
-    fresh state: None forces caching off, ``("mem", None)`` a private
-    memory tier, ``("disk", dir)`` a memory tier over the disk
-    directory the parent (and every sibling worker) shares.
+    fresh state: None forces caching off, ``("mem",)`` a private
+    memory tier, ``("disk", dir, max_bytes)`` a memory tier over the
+    disk directory the parent (and every sibling worker) shares, with
+    the parent's byte cap.
     """
     from repro.cache import MappingCache, set_cache
 
     if spec is None:
         set_cache(None)
+    elif spec[0] == "disk":
+        _kind, directory, max_bytes = spec
+        set_cache(MappingCache(directory, disk_bytes=max_bytes))
     else:
-        _kind, directory = spec
-        set_cache(MappingCache(directory))
+        set_cache(MappingCache())
 
 
 def _worker_main(conn) -> None:
@@ -752,8 +755,8 @@ def _cache_spec() -> tuple | None:
         return None
     disk = active.store.disk
     if disk is not None:
-        return ("disk", str(disk.root))
-    return ("mem", None)
+        return ("disk", str(disk.root), disk.max_bytes)
+    return ("mem",)
 
 
 # ---------------------------------------------------------------------------

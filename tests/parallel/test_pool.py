@@ -17,6 +17,7 @@ import pytest
 
 from repro.arch import presets
 from repro.bench.harness import run_matrix
+from repro.cache import mapping_cache
 from repro.dse.explorer import explore
 from repro.parallel import (
     TaskTimeout,
@@ -366,3 +367,20 @@ def test_on_result_fires_for_deduped_copies():
     assert sorted(seen) == [(0, False), (1, True), (2, False)]
     # the duplicate settles with its primary, immediately after it
     assert seen.index((1, True)) == seen.index((0, False)) + 1
+
+
+def test_workers_write_with_the_parents_disk_cap(cgra, tmp_path):
+    # The batch header ships the disk tier's byte cap.  Workers that
+    # rebuilt the tier with the 64 MiB default would keep all twelve
+    # entries (about 8 KB), far past the bound of two writers x cap.
+    warm_pool(2)
+    cap = 1500
+    with mapping_cache(tmp_path / "c", disk_bytes=cap) as cache:
+        rows = run_matrix(
+            ["list_sched", "edge_centric", "ultrafast"],
+            ["dot_product", "fir4", "sobel_x", "sad"],
+            cgra,
+            jobs=2,
+        )
+    assert cache.stats.stores == len(rows) == 12
+    assert cache.store.disk.stats()["bytes"] <= 2 * cap

@@ -874,9 +874,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(
         p,
         cache_help="enable the mapping cache; without --cache-dir each"
-                   " pool worker gets a fresh memory tier per batch, so"
-                   " nothing is reused across batches (use --cache-dir"
-                   " for that)",
+                   " pool worker keeps its own memory tier across"
+                   " batches, but only --cache-dir shares entries"
+                   " between workers and across restarts",
     )
     p.set_defaults(fn=_cmd_serve)
 

@@ -18,16 +18,27 @@ process instead:
   :func:`pool_scope` pins a pool for a region, :func:`shutdown` tears
   it down (also registered with :mod:`atexit`).  The pool survives
   across ``run_matrix``/``explore``/portfolio calls in one process.
+* **One dispatch/settle core for any number of task groups** — a
+  group is one batch: its items and per-task budgets, its results in
+  submission order, its dedup map and its callbacks.  Open groups
+  share one FIFO queue, so a second batch starts on a worker the
+  moment that worker frees up from the first batch's slow tail.
+  ``run_batch`` opens one group and runs the loop until it settles;
+  the serve daemon's pool-owner thread keeps the loop running
+  (:meth:`WorkerPool.drive`) and opens a group per batch.  Only one
+  thread may drive the loop; a second one gets ``RuntimeError``.
 * **Chunked dispatch with backpressure** — the parent feeds each
   worker over its own pipe, at most :data:`INFLIGHT_PER_WORKER` tasks
   in flight per worker (one running, one prefetched), pulling the next
-  task from the submission-ordered queue as results drain.  Results
-  are reassembled in submission order regardless of completion order.
-* **Per-batch ambient context** — workers fork once, but metrics
-  registries and cache scopes come and go in the parent; each batch
+  task from the queue as results drain.  Results are reassembled in
+  submission order regardless of completion order.
+* **Per-group ambient context** — workers fork once, but metrics
+  registries and cache scopes come and go in the parent; each group's
   header ships the current state (metrics on/off, cache tier spec) so
   a worker forked before a ``metrics_scope`` still ships deltas and a
   worker forked before a ``cache_scope`` still shares the disk tier.
+  A worker gets the header once per loop, and again only when the
+  next group's differs, so its memory tier lives as long as the loop.
 * **Crash detection + respawn** — a worker that dies mid-task fails
   that task with :class:`WorkerCrash` (its queued-but-unstarted tasks
   are re-dispatched), is replaced, and the batch continues; a worker
@@ -39,8 +50,8 @@ process instead:
   while it is merely prefetched — queue wait behind a slow
   predecessor does not count against the budget.  The pool itself is
   never poisoned.
-* **In-batch dedup** — when the caller supplies content-addressed
-  ``keys``, identical in-flight tasks collapse onto one execution and
+* **In-group dedup** — when the caller supplies content-addressed
+  ``keys``, identical tasks of one group collapse onto one execution and
   the duplicates receive deep copies of the primary's result (marked
   ``deduped``, no metrics — they did no work).
 * **Prompt loser cancellation** — ``race()`` batches stop the moment
@@ -55,9 +66,11 @@ import atexit
 import copy
 import logging
 import os
+import threading
 import time
 from collections import deque
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, Iterator, Sequence
@@ -128,10 +141,10 @@ def prewarm() -> None:
 
 
 def _install_cache(spec: tuple | None) -> None:
-    """Apply a batch header's cache spec in a worker.
+    """Apply a group header's cache spec in a worker.
 
     The worker's fork-time cache snapshot is stale the moment the
-    parent enters or leaves a ``cache_scope``, so each batch installs
+    parent enters or leaves a ``cache_scope``, so each header installs
     fresh state: None forces caching off, ``("mem",)`` a private
     memory tier, ``("disk", dir, max_bytes)`` a memory tier over the
     disk directory the parent (and every sibling worker) shares, with
@@ -149,16 +162,17 @@ def _install_cache(spec: tuple | None) -> None:
 
 
 def _worker_main(conn) -> None:
-    """A pool worker's life: pre-import, then loop batch/task messages.
+    """A pool worker's life: pre-import, then loop header/task messages.
 
     Message protocol (parent -> worker):
       ``None``                                    — exit
       ``("batch", fn, shared, use_shared,
-         metrics_on, cache_spec)``                — start a batch
+         metrics_on, cache_spec)``                — the header for the
+                                                    tasks that follow
       ``("task", task_id, index, item, timeout)`` — run one task
 
-    The wall-clock budget rides on each *task* message (not the batch
-    header), so one batch can mix per-task deadlines — the serve
+    The wall-clock budget rides on each *task* message (not the
+    header), so one group can mix per-task deadlines — the serve
     daemon's per-request budgets.
 
     Worker -> parent: ``(task_id, PMapResult)`` per task.  Any leaked
@@ -244,43 +258,102 @@ def _worker_main(conn) -> None:
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
+@dataclass(eq=False, slots=True)
+class _Group:
+    """One open task group: a batch's items, results and callbacks.
+
+    Any number of groups share the core's FIFO queue and its workers.
+    Each keeps its own dedup map, so keys never collapse across groups,
+    and a settled group leaves no entry behind in the core.
+    """
+
+    items: list
+    budgets: list
+    header: tuple
+    #: the group's tasks run on the pool's first ``jobs`` workers
+    jobs: int
+    accept: Callable[[PMapResult], bool] | None
+    on_result: Callable[[int, PMapResult], None] | None
+    on_done: Callable[[list], None] | None
+    results: list = field(init=False)
+    #: primary index -> its duplicate indices, so duplicates can
+    #: settle (and stream) with their primary
+    dups_of: dict[int, list[int]] = field(default_factory=dict)
+    needed: int = 0
+    done: int = 0
+    winner: int | None = None
+    settled: bool = False
+
+    def __post_init__(self) -> None:
+        self.results = [None] * len(self.items)
+
+
 class _Worker:
-    __slots__ = ("proc", "conn", "tasks", "announced")
+    __slots__ = ("proc", "conn", "tasks", "header")
 
     def __init__(self, proc, conn) -> None:
         self.proc = proc
         self.conn = conn
-        #: task_id -> (item index, hard deadline, task budget);
+        #: task_id -> (group, item index, hard deadline, task budget);
         #: insertion order is dispatch order, which the worker also
         #: completes in.  The deadline stays ``None`` while the task is
         #: merely prefetched behind a predecessor — it is stamped only
         #: when the task becomes the worker's head-of-line (i.e.
         #: starts running), so queue wait never counts against the
         #: backstop budget.  The budget is the task's own wall-clock
-        #: limit (batches may mix per-task budgets).
-        self.tasks: dict[int, tuple[int, float | None, float | None]] = {}
-        self.announced = False
+        #: limit (groups may mix per-task budgets).
+        self.tasks: dict[
+            int, tuple[_Group, int, float | None, float | None]
+        ] = {}
+        #: the last group header sent down this pipe in the current
+        #: loop (None: the next task needs one first)
+        self.header: tuple | None = None
+
+
+def _same_header(sent: tuple | None, header: tuple) -> bool:
+    """Whether a worker that last received ``sent`` can run a task of
+    ``header``'s group as is.  ``fn`` and ``shared`` compare by
+    identity: ``shared`` need not support ``==``."""
+    return (
+        sent is not None
+        and sent[1] is header[1]
+        and sent[2] is header[2]
+        and sent[3:] == header[3:]
+    )
 
 
 class WorkerPool:
-    """A set of long-lived forked workers plus the dispatch loop.
+    """A set of long-lived forked workers plus the dispatch/settle core.
 
     Use the module-level :func:`get_pool`/:func:`pool_scope` rather
     than instantiating directly — the whole point is that one pool
     outlives many ``pmap``/``race`` calls.
+
+    The core holds any number of open task groups
+    (:meth:`open_group`) on one FIFO queue, and one loop moves their
+    tasks: dispatch, settle, crash salvage, the hard-timeout backstop.
+    :meth:`run_batch` is its one-group case; :meth:`drive` runs the
+    loop for a caller that keeps opening groups (the serve daemon's
+    pool-owner thread).  Only one thread may run the loop at a time.
     """
 
     def __init__(self, jobs: int) -> None:
         self._ctx = get_context("fork")
         self._workers: list[_Worker] = []
+        self._groups: list[_Group] = []
+        #: (group, item index) in submission order, across groups
+        self._pending: deque[tuple[_Group, int]] = deque()
         self._seq = 0
+        #: ident of the thread holding the loop, None while idle
+        self._holder: int | None = None
+        self._claim_lock = threading.Lock()
         self.batches = 0
         self.tasks_run = 0
         #: workers replaced after a crash or hard timeout
         self.respawns = 0
         #: workers replaced to cancel race() losers promptly
         self.cancels = 0
-        #: duplicate tasks collapsed onto an in-batch primary
+        #: duplicate tasks collapsed onto an in-group primary
         self.dedup_hits = 0
         self.ensure(jobs)
 
@@ -288,6 +361,11 @@ class WorkerPool:
     @property
     def size(self) -> int:
         return len(self._workers)
+
+    @property
+    def open_groups(self) -> int:
+        """Groups opened and not yet settled."""
+        return len(self._groups)
 
     def pids(self) -> list[int]:
         return [w.proc.pid for w in self._workers]
@@ -306,9 +384,15 @@ class WorkerPool:
 
     def ensure(self, jobs: int) -> None:
         """Grow to at least ``jobs`` workers (the pool never shrinks)
-        and replace any worker that died while idle."""
+        and replace any worker that died while idle.  A worker that
+        died with tasks in flight is left to the loop, which fails and
+        re-queues them."""
+        if self._holder not in (None, threading.get_ident()):
+            raise RuntimeError(
+                "the worker pool is being driven by another thread"
+            )
         for i, w in enumerate(self._workers):
-            if not w.proc.is_alive():
+            if not w.tasks and not w.proc.is_alive():
                 self._discard(w)
                 self._workers[i] = self._spawn()
                 self.respawns += 1
@@ -327,15 +411,10 @@ class WorkerPool:
             w.proc.kill()
             w.proc.join(timeout=JOIN_TIMEOUT)
 
-    def _replace(self, w: _Worker, active: list[_Worker]) -> _Worker:
+    def _replace(self, w: _Worker) -> None:
         """Swap a dead/condemned worker for a fresh one, in place."""
-        fresh = self._spawn()
-        self._workers[self._workers.index(w)] = fresh
-        for k, cur in enumerate(active):
-            if cur is w:
-                active[k] = fresh
+        self._workers[self._workers.index(w)] = self._spawn()
         self._discard(w)
-        return fresh
 
     def close(self, grace: float | None = None) -> None:
         """Shut the workers down with a *bounded* total wait.
@@ -389,7 +468,49 @@ class WorkerPool:
             except OSError:
                 pass
 
-    # -- dispatch ------------------------------------------------------
+    # -- ownership -----------------------------------------------------
+    @contextmanager
+    def _claim(self) -> Iterator[None]:
+        """Hold the loop for the calling thread.  The pool is neither
+        thread-safe nor reentrant, so a second holder — another
+        thread, or a callback of this loop — raises instead of racing
+        the first."""
+        me = threading.get_ident()
+        with self._claim_lock:
+            if self._holder is not None:
+                raise RuntimeError(
+                    "the worker pool is already being driven"
+                    + (" (reentrant call)" if self._holder == me else
+                       " by another thread")
+                )
+            self._holder = me
+        for w in self._workers:
+            w.header = None  # each loop announces its headers afresh
+        try:
+            yield
+        except BaseException as ex:
+            self._abandon(ex)
+            raise
+        finally:
+            self._holder = None
+
+    def _abandon(self, ex: BaseException) -> None:
+        """The loop is unwinding with groups still open: fail their
+        unsettled items and settle them, so no caller waits forever.
+        Results still in flight are ignored when they arrive."""
+        self._pending.clear()
+        for w in self._workers:
+            w.tasks.clear()
+        for g in list(self._groups):
+            for i, res in enumerate(g.results):
+                if res is None:
+                    self._finish(g, i, PMapResult(
+                        index=i, ok=False,
+                        error=RuntimeError(f"pool loop failed: {ex!r}"),
+                    ))
+            self._close(g)
+
+    # -- the group core ------------------------------------------------
     def run_batch(
         self,
         fn: Callable[..., Any],
@@ -403,24 +524,74 @@ class WorkerPool:
         accept: Callable[[PMapResult], bool] | None = None,
         on_result: Callable[[int, PMapResult], None] | None = None,
     ) -> list[PMapResult | None]:
-        """Run one batch over the pool; see ``pmap``/``race`` for the
-        caller-facing contracts.
+        """Run one batch over the pool — open one group, run the loop
+        until it settles; see ``pmap``/``race`` for the caller-facing
+        contracts and :meth:`open_group` for the arguments."""
+        with self._claim():
+            g = self.open_group(
+                fn, items, jobs=jobs, timeout=timeout, timeouts=timeouts,
+                shared=shared, keys=keys, accept=accept,
+                on_result=on_result,
+            )
+            self._loop(lambda: g.settled)
+        return g.results
 
-        ``keys`` enables in-batch dedup: items with an equal, non-None
-        key collapse onto the first occurrence.  ``accept`` switches
-        race semantics on: the lowest-index accepted result wins, and
-        everything past it is cancelled (``None`` in the output).
-        The two are mutually exclusive.
+    def drive(
+        self,
+        until: Callable[[], bool],
+        *,
+        wake: Any = None,
+        on_wake: Callable[[], None] | None = None,
+    ) -> None:
+        """Run the loop on the calling thread until ``until()`` holds.
+
+        ``wake`` is a readable file-like object (a socket, a pipe
+        end) waited on beside the worker pipes; when it is readable
+        the loop calls ``on_wake()``, which must drain it and may open
+        groups.  ``until`` is checked after every settle pass.
+        """
+        with self._claim():
+            self._loop(until, wake, on_wake)
+
+    def open_group(
+        self,
+        fn: Callable[..., Any],
+        items: Sequence[Any],
+        *,
+        jobs: int,
+        timeout: float | None = None,
+        timeouts: Sequence[float | None] | None = None,
+        shared: Any = None,
+        keys: Sequence[Any] | None = None,
+        accept: Callable[[PMapResult], bool] | None = None,
+        on_result: Callable[[int, PMapResult], None] | None = None,
+        on_done: Callable[[list[PMapResult | None]], None] | None = None,
+    ) -> _Group:
+        """Queue a task group behind the ones already open.
+
+        Only the thread running the loop may open groups (from
+        ``on_wake``, or inside :meth:`run_batch`).  ``keys`` enables
+        in-group dedup: items with an equal, non-None key collapse
+        onto the first occurrence.  ``accept`` switches race semantics
+        on: the lowest-index accepted result wins, and everything past
+        it is cancelled (``None`` in the output).  The two are
+        mutually exclusive.
 
         ``timeouts`` gives every item its own wall-clock budget
-        (overriding the batch-wide ``timeout``); ``on_result`` is
+        (overriding the group-wide ``timeout``); ``on_result`` is
         invoked as ``on_result(index, result)`` the moment each item
         settles — including deduped copies, which settle with their
         primary — so a caller can stream results out with no batch
-        barrier.  The callback runs on the dispatching thread; keep it
-        cheap and never let it raise (exceptions are logged and
-        swallowed).
+        barrier.  ``on_done(results)`` fires once, when the whole
+        group has settled.  Callbacks run on the loop's thread; keep
+        them cheap and never let them raise (exceptions are logged
+        and swallowed).  The returned group's ``settled`` and
+        ``results`` are read-only to the caller.
         """
+        if self._holder != threading.get_ident():
+            raise RuntimeError(
+                "open_group outside the thread running the pool's loop"
+            )
         if accept is not None and keys is not None:
             raise ValueError("keys= dedup is not supported under race()")
         if accept is not None and on_result is not None:
@@ -430,41 +601,14 @@ class WorkerPool:
         items = list(items)
         n = len(items)
         if timeouts is not None:
-            timeouts = list(timeouts)
-            if len(timeouts) != n:
+            budgets = list(timeouts)
+            if len(budgets) != n:
                 raise ValueError(
                     "timeouts must align one-to-one with items"
                 )
-        self.batches += 1
-
-        def budget_of(i: int) -> float | None:
-            return timeouts[i] if timeouts is not None else timeout
-
-        # Dedup plan: the indices that actually run, and who copies whom.
-        dup_of: dict[int, int] = {}
-        order: list[int] = []
-        if keys is not None:
-            first: dict[Any, int] = {}
-            for i in range(n):
-                k = keys[i]
-                if k is not None and k in first:
-                    dup_of[i] = first[k]
-                else:
-                    if k is not None:
-                        first[k] = i
-                    order.append(i)
         else:
-            order = list(range(n))
-
-        # Grow only to what this batch can use — never fork workers
-        # that len(order) tasks could not occupy (the pool does not
-        # shrink, so overshoot would idle forever).
-        self.ensure(max(1, min(jobs, len(order))))
-        results: list[PMapResult | None] = [None] * n
-        workers = self._workers[: max(1, min(jobs, len(order)))]
-        for w in self._workers:
-            w.tasks.clear()
-            w.announced = False
+            budgets = [timeout] * n
+        self.batches += 1
         header = (
             "batch",
             fn,
@@ -473,277 +617,346 @@ class WorkerPool:
             get_metrics().enabled,
             _cache_spec(),
         )
-        pending: deque[int] = deque(order)
-        needed = len(order)
-        done = 0
-        winner: int | None = None
+        g = _Group(items, budgets, header, jobs, accept, on_result,
+                   on_done)
 
-        # Reverse dedup map: primary index -> its duplicate indices,
-        # so duplicates can settle (and stream) with their primary.
-        dups_of: dict[int, list[int]] = {}
-        for i, p in dup_of.items():
-            dups_of.setdefault(p, []).append(i)
+        # Dedup plan: the indices that actually run, and who copies whom.
+        order: list[int] = []
+        first: dict[Any, int] = {}
+        for i in range(n):
+            k = keys[i] if keys is not None else None
+            if k is not None and k in first:
+                g.dups_of.setdefault(first[k], []).append(i)
+            else:
+                if k is not None:
+                    first[k] = i
+                order.append(i)
+        g.needed = len(order)
 
-        def emit(i: int, res: PMapResult) -> None:
-            if on_result is None:
-                return
-            try:
-                on_result(i, res)
-            except Exception:
-                _log.exception("pool: on_result callback failed")
+        # Grow only to what this group can use — never fork workers
+        # that len(order) tasks could not occupy (the pool does not
+        # shrink, so overshoot would idle forever).
+        self.ensure(max(1, min(jobs, len(order))))
+        self._groups.append(g)
+        self._pending.extend((g, i) for i in order)
+        return g
 
-        def fill_dups(p: int) -> None:
-            """Copy a settled primary's result onto its duplicates: a
-            deep copy, so the caller can mutate results independently;
-            no metrics (the duplicate did no work)."""
-            src = results[p]
-            if src is None:
-                return
-            for i in dups_of.get(p, ()):
-                if results[i] is not None:
-                    continue
-                try:
-                    value = copy.deepcopy(src.value)
-                except Exception:
-                    value = src.value
-                results[i] = PMapResult(
-                    index=i,
-                    ok=src.ok,
-                    value=value,
-                    error=src.error,
-                    timed_out=src.timed_out,
-                    elapsed=0.0,
-                    deduped=True,
-                )
-                self.dedup_hits += 1
-                get_metrics().counter(POOL_DEDUP_TOTAL).inc()
-                emit(i, results[i])
+    def _loop(
+        self,
+        until: Callable[[], bool],
+        wake: Any = None,
+        on_wake: Callable[[], None] | None = None,
+    ) -> None:
+        """The dispatch/settle loop — the only place tasks move.
 
-        def finish(i: int, res: PMapResult) -> None:
-            """Record a real (non-duplicate) task's final result, then
-            stream it and its duplicates out."""
-            nonlocal done
-            if results[i] is not None:
-                return
-            results[i] = res
-            done += 1
-            emit(i, res)
-            fill_dups(i)
-
-        def arm_head(w: _Worker) -> None:
-            """Stamp the hard deadline on the worker's head-of-line
-            task if it is still unarmed.
-
-            Deadlines start when a task *starts running* (becomes the
-            earliest in flight), not when it is queued: a task
-            prefetched behind a slow predecessor must get its full
-            ``timeout + BACKSTOP_SLACK`` budget of its own, or long
-            tasks would spuriously hard-fail under ``jobs >= 2`` while
-            succeeding under ``jobs=1``."""
-            if not w.tasks:
-                return
-            head = next(iter(w.tasks))
-            i, dl, budget = w.tasks[head]
-            if dl is None and budget is not None:
-                w.tasks[head] = (
-                    i, time.monotonic() + budget + BACKSTOP_SLACK, budget
-                )
-
-        def head_overdue(w: _Worker, now: float) -> float | None:
-            """If the worker's earliest in-flight task is past its hard
-            deadline, return that task's budget (for the diagnostic);
-            ``None`` otherwise.  Later entries are unarmed by
-            construction."""
-            if not w.tasks:
-                return None
-            _i, dl, budget = next(iter(w.tasks.values()))
-            if dl is not None and now > dl:
-                return budget if budget is not None else 0.0
-            return None
-
-        def settle(w: _Worker, task_id: int, res: PMapResult) -> None:
-            entry = w.tasks.pop(task_id, None)
-            if entry is None:
-                return  # already accounted for (killed worker)
-            arm_head(w)  # the next queued task is now running
-            i = entry[0]
-            if results[i] is None:
-                self.tasks_run += 1
-                finish(i, res)
-
-        def decode_crash(detail: Any) -> WorkerCrash:
-            return WorkerCrash(
-                f"worker could not decode a task ({detail}); is"
-                " fn a module-level (importable) function?"
-            )
-
-        def drain(w: _Worker) -> WorkerCrash | None:
-            """Collect results the worker sent before dying/judgement.
-
-            Returns the decode-error diagnostic if the worker queued
-            its ``("decode_error", ...)`` sentinel, so the subsequent
-            EOF is not misreported as a generic crash."""
-            derr: WorkerCrash | None = None
-            try:
-                while w.conn.poll(0):
-                    task_id, res = w.conn.recv()
-                    if task_id == "decode_error":
-                        derr = decode_crash(res)
-                        continue
-                    settle(w, task_id, res)
-            except (EOFError, OSError):
-                pass
-            return derr
-
-        def fail_worker(
-            w: _Worker,
-            error: BaseException | None,
-            timed_out: bool = False,
-        ) -> None:
-            """A worker died or was condemned: salvage what it sent,
-            fail its earliest in-flight task (the one it was running —
-            dispatch order is completion order), re-queue the rest, and
-            respawn."""
-            derr = drain(w)
-            if error is None:
-                error = derr
-            remaining = sorted(w.tasks.items())
-            w.tasks.clear()
-            if remaining:
-                _tid, (i, _dl, _b) = remaining[0]
-                err = error if error is not None else WorkerCrash(
-                    f"pool worker died running task {i}"
-                )
-                finish(i, PMapResult(
-                    index=i, ok=False, error=err, timed_out=timed_out
-                ))
-                for _tid, (j, _dl, _b) in reversed(remaining[1:]):
-                    pending.appendleft(j)
-            self.respawns += 1
-            get_metrics().counter(POOL_RESPAWNS_TOTAL).inc()
-            _log.warning(
-                "pool: respawned a worker (%s)",
-                error if error is not None else "crashed",
-            )
-            self._replace(w, workers)
-
-        def dispatch() -> None:
-            while pending:
-                candidates = [
-                    w for w in workers
-                    if len(w.tasks) < INFLIGHT_PER_WORKER
-                ]
-                if not candidates:
-                    return
-                w = min(candidates, key=lambda c: len(c.tasks))
-                i = pending.popleft()
-                try:
-                    if not w.announced:
-                        w.conn.send(header)
-                        w.announced = True
-                    w.conn.send(
-                        ("task", self._seq, i, items[i], budget_of(i))
-                    )
-                except (BrokenPipeError, OSError):
-                    pending.appendleft(i)
-                    fail_worker(w, None)
-                    continue
-                except Exception as ex:
-                    # Unpicklable fn/shared/item: fail the task the
-                    # way a fork-per-call pool would, keep the worker.
-                    finish(i, PMapResult(index=i, ok=False, error=ex))
-                    continue
-                # Queued unarmed; arm_head stamps the deadline once the
-                # task is actually running (immediately, if the worker
-                # was idle).
-                w.tasks[self._seq] = (i, None, budget_of(i))
-                self._seq += 1
-                arm_head(w)
-
+        Each turn settles finished groups, feeds the queue to workers
+        with a free slot, waits one tick on the busy workers' pipes
+        (and ``wake``), records what arrived, then enforces the
+        hard-timeout backstop.
+        """
         while True:
-            if done >= needed and not pending:
-                break
-            dispatch()
-            conns = {w.conn: w for w in workers if w.tasks}
-            if not conns:
-                if pending:
-                    continue  # fresh workers exist; dispatch again
-                break
-            for conn in _conn_wait(list(conns), timeout=POLL_TICK):
+            self._settle_groups()
+            if until():
+                return
+            self._dispatch()
+            conns = {w.conn: w for w in self._workers if w.tasks}
+            if not conns and self._pending:
+                continue  # replacement workers take the queue
+            if not conns and wake is None:
+                return  # nothing in flight, nothing to wait for
+            waitables = list(conns) if wake is None else [*conns, wake]
+            for conn in _conn_wait(waitables, timeout=POLL_TICK):
+                if conn is wake:
+                    on_wake()
+                    continue
                 w = conns[conn]
                 try:
                     task_id, res = conn.recv()
                 except (EOFError, OSError):
-                    fail_worker(w, None)
+                    self._fail_worker(w, None)
                     continue
                 if task_id == "decode_error":
                     # The worker could not unpickle a message (typically
                     # an fn defined in __main__ after the fork) and is
                     # exiting; fail its current task with the real cause.
-                    fail_worker(w, decode_crash(res))
+                    self._fail_worker(w, _decode_crash(res))
                     continue
-                settle(w, task_id, res)
-            # Hard-timeout backstop: a worker whose *running* task is
-            # past its deadline is wedged beyond the in-process alarm,
-            # stuck outside the interpreter; kill just that worker,
-            # not the pool.  Only the head-of-line task is armed, so
-            # prefetched tasks cannot trip the backstop from queue
-            # wait.
-            now = time.monotonic()
-            for w in list(workers):
-                if head_overdue(w, now) is None:
-                    continue
-                derr = drain(w)  # the task may have finished this tick
-                if derr is not None:
-                    fail_worker(w, derr)
-                    continue
-                budget = head_overdue(w, now)
-                if budget is not None:
-                    fail_worker(
-                        w,
-                        TaskTimeout(
-                            "hard timeout: worker unresponsive after"
-                            f" {budget + BACKSTOP_SLACK:g}s"
-                        ),
-                        timed_out=True,
-                    )
-            if accept is not None and winner is None:
-                for i in range(n):
-                    r = results[i]
-                    if r is None:
-                        break  # an earlier entrant is still running
-                    if accept(r):
-                        winner = i
-                        break
-                if winner is not None:
-                    # Prompt loser cancellation: drop the queue, kill
-                    # workers still running losers, respawn them.
-                    pending.clear()
-                    for w in list(workers):
-                        if w.tasks:
-                            w.tasks.clear()
-                            self.cancels += 1
-                            self._replace(w, workers)
+                self._record(w, task_id, res)
+            self._backstop()
+
+    def _dispatch(self) -> None:
+        """Feed the FIFO queue to workers with a free slot.
+
+        The head task goes to the least-loaded of its group's workers.
+        On a tie it queues behind its own group's running task rather
+        than another group's, which is likely that group's slow tail;
+        within one group, ties go to the lowest worker index.
+        """
+        while self._pending:
+            g, i = self._pending[0]
+            candidates = [
+                w for w in self._workers[: g.jobs]
+                if len(w.tasks) < INFLIGHT_PER_WORKER
+            ]
+            if not candidates:
+                return
+            w = min(candidates, key=lambda c: (
+                len(c.tasks),
+                bool(c.tasks) and next(iter(c.tasks.values()))[0] is not g,
+            ))
+            self._pending.popleft()
+            try:
+                if not _same_header(w.header, g.header):
+                    w.conn.send(g.header)
+                    w.header = g.header
+                w.conn.send(
+                    ("task", self._seq, i, g.items[i], g.budgets[i])
+                )
+            except (BrokenPipeError, OSError):
+                self._pending.appendleft((g, i))
+                self._fail_worker(w, None)
+                continue
+            except Exception as ex:
+                # Unpicklable fn/shared/item: fail the task the way a
+                # fork-per-call pool would, keep the worker.
+                self._finish(g, i, PMapResult(index=i, ok=False, error=ex))
+                continue
+            # Queued unarmed; _arm_head stamps the deadline once the
+            # task is actually running (immediately, if the worker was
+            # idle).
+            w.tasks[self._seq] = (g, i, None, g.budgets[i])
+            self._seq += 1
+            self._arm_head(w)
+
+    def _arm_head(self, w: _Worker) -> None:
+        """Stamp the hard deadline on the worker's head-of-line task if
+        it is still unarmed.
+
+        Deadlines start when a task *starts running*, not when it is
+        queued: a task prefetched behind a slow predecessor must get
+        its full ``timeout + BACKSTOP_SLACK`` budget of its own, or
+        long tasks would spuriously hard-fail under ``jobs >= 2``
+        while succeeding under ``jobs=1``."""
+        if not w.tasks:
+            return
+        head = next(iter(w.tasks))
+        g, i, dl, budget = w.tasks[head]
+        if dl is None and budget is not None:
+            w.tasks[head] = (
+                g, i, time.monotonic() + budget + BACKSTOP_SLACK, budget
+            )
+
+    def _record(self, w: _Worker, task_id: int, res: PMapResult) -> None:
+        """A worker reported a task's result."""
+        entry = w.tasks.pop(task_id, None)
+        if entry is None:
+            return  # already accounted for (killed worker, old loop)
+        self._arm_head(w)  # the next queued task is now running
+        g, i = entry[0], entry[1]
+        if g.results[i] is None:
+            self.tasks_run += 1
+            self._finish(g, i, res)
+
+    def _finish(self, g: _Group, i: int, res: PMapResult) -> None:
+        """Record a real (non-duplicate) task's final result, stream it
+        and its duplicates out, and decide a race once its prefix is
+        settled."""
+        if g.results[i] is not None:
+            return
+        g.results[i] = res
+        g.done += 1
+        self._emit(g, i, res)
+        self._fill_dups(g, i)
+        if g.accept is not None and g.winner is None:
+            for j, r in enumerate(g.results):
+                if r is None:
+                    break  # an earlier entrant is still running
+                if g.accept(r):
+                    g.winner = j
                     break
 
+    def _emit(self, g: _Group, i: int, res: PMapResult) -> None:
+        if g.on_result is None:
+            return
+        try:
+            g.on_result(i, res)
+        except Exception:
+            _log.exception("pool: on_result callback failed")
+
+    def _fill_dups(self, g: _Group, p: int) -> None:
+        """Copy a settled primary's result onto its duplicates: a deep
+        copy, so the caller can mutate results independently; no
+        metrics (the duplicate did no work)."""
+        src = g.results[p]
+        if src is None:
+            return
+        for i in g.dups_of.get(p, ()):
+            if g.results[i] is not None:
+                continue
+            try:
+                value = copy.deepcopy(src.value)
+            except Exception:
+                value = src.value
+            g.results[i] = PMapResult(
+                index=i,
+                ok=src.ok,
+                value=value,
+                error=src.error,
+                timed_out=src.timed_out,
+                elapsed=0.0,
+                deduped=True,
+            )
+            self.dedup_hits += 1
+            get_metrics().counter(POOL_DEDUP_TOTAL).inc()
+            self._emit(g, i, g.results[i])
+
+    def _settle_groups(self) -> None:
+        """Close every group that is complete or whose race is decided."""
+        for g in [
+            g for g in self._groups
+            if g.winner is not None or g.done >= g.needed
+        ]:
+            if g.winner is not None:
+                self._cancel(g)
+            self._close(g)
+
+    def _cancel(self, g: _Group) -> None:
+        """Prompt loser cancellation: drop the group's queue, kill the
+        workers still running its tasks and respawn them; other
+        groups' tasks on those workers go back to the queue front."""
+        self._pending = deque(e for e in self._pending if e[0] is not g)
+        for w in list(self._workers):
+            others = [(h, j) for h, j, _dl, _b in w.tasks.values()
+                      if h is not g]
+            if len(others) == len(w.tasks):
+                continue
+            w.tasks.clear()
+            self._pending.extendleft(reversed(others))
+            self.cancels += 1
+            self._replace(w)
+
+    def _close(self, g: _Group) -> None:
+        """Settle a group: it leaves the core, then ``on_done`` fires."""
+        self._groups.remove(g)
+        # Belt-and-braces: duplicates normally settle with their
+        # primary inside _finish; sweep any stragglers (_fill_dups
+        # skips already-settled entries, so nothing double-counts).
+        for p in g.dups_of:
+            self._fill_dups(g, p)
         # race contract: entries past the winner stay None, even those
         # that happened to finish before the decision.
-        if winner is not None:
-            for j in range(winner + 1, n):
-                results[j] = None
+        if g.winner is not None:
+            for j in range(g.winner + 1, len(g.results)):
+                g.results[j] = None
+        g.settled = True
+        if g.on_done is not None:
+            try:
+                g.on_done(g.results)
+            except Exception:
+                _log.exception("pool: on_done callback failed")
 
-        # Belt-and-braces: duplicates normally settle with their
-        # primary inside ``finish``; sweep any stragglers (fill_dups
-        # skips already-settled entries, so nothing double-counts).
-        for p in dups_of:
-            fill_dups(p)
-        return results
+    # -- failure containment -------------------------------------------
+    def _drain(self, w: _Worker) -> WorkerCrash | None:
+        """Collect results the worker sent before dying/judgement.
+
+        Returns the decode-error diagnostic if the worker queued its
+        ``("decode_error", ...)`` sentinel, so the subsequent EOF is
+        not misreported as a generic crash."""
+        derr: WorkerCrash | None = None
+        try:
+            while w.conn.poll(0):
+                task_id, res = w.conn.recv()
+                if task_id == "decode_error":
+                    derr = _decode_crash(res)
+                    continue
+                self._record(w, task_id, res)
+        except (EOFError, OSError):
+            pass
+        return derr
+
+    def _fail_worker(
+        self,
+        w: _Worker,
+        error: BaseException | None,
+        timed_out: bool = False,
+    ) -> None:
+        """A worker died or was condemned: salvage what it sent, fail
+        its earliest in-flight task (the one it was running — dispatch
+        order is completion order), re-queue the rest at the queue
+        front, and respawn."""
+        derr = self._drain(w)
+        if error is None:
+            error = derr
+        remaining = list(w.tasks.values())
+        w.tasks.clear()
+        if remaining:
+            g, i, _dl, _b = remaining[0]
+            err = error if error is not None else WorkerCrash(
+                f"pool worker died running task {i}"
+            )
+            self._finish(g, i, PMapResult(
+                index=i, ok=False, error=err, timed_out=timed_out
+            ))
+            self._pending.extendleft(
+                (h, j) for h, j, _dl, _b in reversed(remaining[1:])
+            )
+        self.respawns += 1
+        get_metrics().counter(POOL_RESPAWNS_TOTAL).inc()
+        _log.warning(
+            "pool: respawned a worker (%s)",
+            error if error is not None else "crashed",
+        )
+        self._replace(w)
+
+    def _head_overdue(self, w: _Worker, now: float) -> float | None:
+        """If the worker's earliest in-flight task is past its hard
+        deadline, return that task's budget (for the diagnostic);
+        ``None`` otherwise.  Later entries are unarmed by
+        construction."""
+        if not w.tasks:
+            return None
+        _g, _i, dl, budget = next(iter(w.tasks.values()))
+        if dl is not None and now > dl:
+            return budget if budget is not None else 0.0
+        return None
+
+    def _backstop(self) -> None:
+        """Hard-timeout backstop: a worker whose *running* task is past
+        its deadline is wedged beyond the in-process alarm, stuck
+        outside the interpreter; kill just that worker, not the pool.
+        Only the head-of-line task is armed, so prefetched tasks
+        cannot trip the backstop from queue wait."""
+        now = time.monotonic()
+        for w in list(self._workers):
+            if self._head_overdue(w, now) is None:
+                continue
+            derr = self._drain(w)  # the task may have finished this tick
+            if derr is not None:
+                self._fail_worker(w, derr)
+                continue
+            budget = self._head_overdue(w, now)
+            if budget is not None:
+                self._fail_worker(
+                    w,
+                    TaskTimeout(
+                        "hard timeout: worker unresponsive after"
+                        f" {budget + BACKSTOP_SLACK:g}s"
+                    ),
+                    timed_out=True,
+                )
+
+
+def _decode_crash(detail: Any) -> WorkerCrash:
+    return WorkerCrash(
+        f"worker could not decode a task ({detail}); is"
+        " fn a module-level (importable) function?"
+    )
 
 
 def _cache_spec() -> tuple | None:
-    """The active cache's tier spec, for a batch header.
+    """The active cache's tier spec, for a group header.
 
-    Workers rebuild an equivalent cache per batch: counters start at
+    Workers rebuild an equivalent cache per header: counters start at
     zero (their deltas merge back through the harnesses), the memory
     tier is private, and the disk tier — the only shared state — is
     named by path.

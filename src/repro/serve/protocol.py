@@ -33,8 +33,8 @@ __all__ = [
     "simple_response",
 ]
 
-#: cap on header block and body sizes — the daemon maps kernels, it
-#: does not accept arbitrary uploads.
+#: cap on header block and body sizes, and on NDJSON batch lines — the
+#: daemon maps kernels, it does not accept arbitrary uploads.
 MAX_HEADER_LINES = 64
 MAX_BODY_BYTES = 16 * 1024 * 1024
 

@@ -1,12 +1,14 @@
 """Pool-facing batch execution for the serve daemon.
 
-One batch of validated requests becomes one
-:meth:`~repro.parallel.pool.WorkerPool.run_batch` call: per-request
-deadlines ride in as per-task budgets (worker-side SIGALRM plus the
-parent's head-of-line backstop), content-addressed keys collapse
-identical in-flight requests onto one execution, and every result
-streams out through ``on_result`` the moment it settles — the daemon
-never waits for the batch barrier.
+One batch of validated requests becomes one task group of the
+pool's dispatch/settle core — opened on the daemon's pool-owner
+thread by :func:`open_batch`, or run to completion by
+:func:`map_batch` (the core's one-group ``run_batch`` case).
+Per-request deadlines ride in as per-task budgets (worker-side
+SIGALRM plus the parent's head-of-line backstop), content-addressed
+keys collapse identical requests of one batch onto one execution, and
+every result streams out through ``on_result`` the moment it settles
+— the daemon never waits for the batch barrier.
 
 The worker payload rebuilds the problem from its picklable spec
 (kernel name or DFG document — never live graph objects) and returns
@@ -24,11 +26,11 @@ from repro.core.exceptions import MapFailure
 from repro.core.registry import create
 from repro.core.serialize import dfg_from_doc, mapping_to_doc
 from repro.ir import kernels as kernel_lib
-from repro.parallel import PMapResult, get_pool
+from repro.parallel import PMapResult, WorkerPool, get_pool
 from repro.parallel.tasks import fold_worker_metrics
 from repro.serve.validate import Prepared
 
-__all__ = ["map_batch", "response_of"]
+__all__ = ["map_batch", "open_batch", "response_of"]
 
 _log = logging.getLogger("repro.serve.scheduler")
 
@@ -106,30 +108,23 @@ def response_of(p: Prepared, res: PMapResult) -> dict[str, Any]:
     }
 
 
-def map_batch(
+def _group_args(
     prepared: Sequence[Prepared],
-    *,
-    jobs: int,
     on_settle: Callable[[dict[str, Any]], None],
-) -> list[PMapResult]:
-    """Run validated requests over the persistent pool.
+) -> dict[str, Any]:
+    """A batch's task-group arguments, streaming through ``on_settle``."""
+    return {
+        "items": [p.item() for p in prepared],
+        "timeouts": [p.budget for p in prepared],
+        "keys": [p.key for p in prepared],
+        "on_result": lambda i, res: on_settle(
+            response_of(prepared[i], res)
+        ),
+    }
 
-    ``on_settle`` receives each response document as its request
-    settles (duplicates settle with their primary).  Blocking — the
-    daemon calls this in an executor thread; per-request budgets stay
-    enforced because the tasks run on pool workers' *main* threads,
-    where SIGALRM works, with the parent backstop behind them.
-    """
-    items = [p.item() for p in prepared]
-    pool = get_pool(max(1, min(jobs, len(items))))
-    results = pool.run_batch(
-        _map_task,
-        items,
-        jobs=jobs,
-        timeouts=[p.budget for p in prepared],
-        keys=[p.key for p in prepared],
-        on_result=lambda i, res: on_settle(response_of(prepared[i], res)),
-    )
+
+def _fold(results: Sequence[PMapResult | None]) -> None:
+    """Merge a settled batch's worker metrics and cache stats."""
     fold_worker_metrics(results)
     active = get_cache()
     if active is not None:
@@ -143,4 +138,51 @@ def map_batch(
                 active.stats.hits += 1
             else:
                 active.stats.merge(res.value[3])
+
+
+def map_batch(
+    prepared: Sequence[Prepared],
+    *,
+    jobs: int,
+    on_settle: Callable[[dict[str, Any]], None],
+) -> list[PMapResult]:
+    """Run validated requests over the persistent pool, blocking.
+
+    ``on_settle`` receives each response document as its request
+    settles (duplicates settle with their primary).  Per-request
+    budgets stay enforced because the tasks run on pool workers'
+    *main* threads, where SIGALRM works, with the parent backstop
+    behind them.
+    """
+    pool = get_pool(max(1, min(jobs, len(prepared))))
+    results = pool.run_batch(
+        _map_task, jobs=jobs, **_group_args(prepared, on_settle)
+    )
+    _fold(results)
     return results
+
+
+def open_batch(
+    pool: WorkerPool,
+    prepared: Sequence[Prepared],
+    *,
+    jobs: int,
+    on_settle: Callable[[dict[str, Any]], None],
+    on_done: Callable[[], None],
+) -> None:
+    """Queue validated requests as one group on a pool whose loop runs
+    on the calling thread (the daemon's pool-owner thread).
+
+    ``on_settle`` streams each response as :func:`map_batch` does;
+    ``on_done`` fires once every request has settled and the batch's
+    metrics and cache stats are folded.
+    """
+
+    def done(results: list[PMapResult | None]) -> None:
+        _fold(results)
+        on_done()
+
+    pool.open_group(
+        _map_task, jobs=jobs, on_done=done,
+        **_group_args(prepared, on_settle),
+    )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import socket
 
 import pytest
@@ -392,6 +393,235 @@ def test_cli_serve_submit_and_sigterm_drain(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+
+
+# ---------------------------------------------------------------------------
+# long lines, disconnects and overlapping batches
+# ---------------------------------------------------------------------------
+#: a request that runs until its 1.5 s deadline (dresc needs ~15 s here)
+SLOW = {
+    "id": "slow", "kernel": "layered:60:3:7", "arch": "simple4x4",
+    "mapper": "dresc", "deadline_ms": 1500,
+}
+
+
+def ndjson_exchange(port, payload):
+    """Send raw bytes, then read response lines until the batch summary
+    or the server's close; returns the parsed documents."""
+    with socket.create_connection(("127.0.0.1", port), timeout=120) as sock:
+        stream = sock.makefile("rwb")
+        stream.write(payload)
+        stream.flush()
+        docs = []
+        while True:
+            line = stream.readline()
+            if not line:
+                return docs
+            docs.append(json.loads(line))
+            if "batch" in docs[-1]:
+                return docs
+
+
+def padded_batch(requests, size):
+    """One NDJSON batch line of ``size`` bytes (JSON whitespace pad)."""
+    text = json.dumps({"requests": requests})
+    return (text[:-1] + " " * (size - len(text) - 1) + "}\n").encode()
+
+
+def test_ndjson_line_over_64_kib_is_served():
+    async def go():
+        async with MappingServer(port=0, jobs=2) as server:
+            payload = padded_batch(
+                [{"id": "big", "kernel": "dot_product",
+                  "arch": "simple4x4"}],
+                100_000,
+            )
+            assert len(payload) == 100_000 > 64 * 1024
+            return await asyncio.get_running_loop().run_in_executor(
+                None, lambda: ndjson_exchange(server.bound_port, payload)
+            )
+
+    resp, summary = asyncio.run(go())
+    assert resp["id"] == "big" and resp["ok"]
+    assert canonical(resp["mapping"]) == canonical(
+        serial_doc("dot_product")
+    )
+    assert summary["batch"]["ok"] == 1
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_ndjson_line_over_the_cap_gets_a_batch_error(monkeypatch, first):
+    from repro.serve import protocol
+
+    monkeypatch.setattr(protocol, "MAX_BODY_BYTES", 4096)
+    ok_line = json.dumps({"requests": [
+        {"kernel": "dot_product", "arch": "simple4x4"}
+    ]}).encode() + b"\n"
+    long_line = padded_batch(
+        [{"kernel": "dot_product", "arch": "simple4x4"}], 10_000
+    )
+    payload = long_line if first else ok_line + long_line
+
+    async def go():
+        async with MappingServer(port=0, jobs=2) as server:
+            port = server.bound_port
+
+            def talk():
+                with socket.create_connection(
+                    ("127.0.0.1", port), timeout=120
+                ) as sock:
+                    sock.sendall(payload)
+                    # every line up to the server's close
+                    return [json.loads(x) for x in sock.makefile("rb")]
+
+            return await asyncio.get_running_loop().run_in_executor(
+                None, talk
+            )
+
+    docs = asyncio.run(go())
+    if not first:
+        assert docs[0]["ok"] and docs[1]["batch"]["ok"] == 1
+        docs = docs[2:]
+    error, summary = docs  # then the connection closed
+    assert error["error"]["type"] == "validation"
+    assert error["error"]["field"] == "batch"
+    assert "4096-byte cap" in error["error"]["detail"]
+    assert summary["batch"]["errors"] == 1
+
+
+def test_client_gone_mid_batch_leaves_the_pool_whole():
+    from repro.parallel import pool as pool_mod
+
+    async def go():
+        async with MappingServer(port=0, jobs=2) as server:
+            port = server.bound_port
+            pool = pool_mod._POOL  # read only: the owner thread drives it
+            pids = pool.pids()
+
+            def leave_early():
+                batch = json.dumps({"requests": [
+                    SLOW, {"id": "fast", "kernel": "fir4",
+                           "arch": "simple4x4"},
+                ]}).encode() + b"\n"
+                with socket.create_connection(
+                    ("127.0.0.1", port), timeout=120
+                ) as sock:
+                    sock.sendall(batch)
+                    first = json.loads(sock.makefile("rb").readline())
+                return first  # gone while the slow request still runs
+
+            loop = asyncio.get_running_loop()
+            first = await loop.run_in_executor(None, leave_early)
+            responses, summary = await loop.run_in_executor(
+                None,
+                lambda: submit(
+                    [{"id": "b", "kernel": "dot_product",
+                      "arch": "simple4x4"},
+                     {"id": "c", "kernel": "sobel_x",
+                      "arch": "simple4x4"}],
+                    port=port, timeout=120,
+                ),
+            )
+            owner = server._owner
+        return first, responses, summary, owner, pool, pids
+
+    first, responses, summary, owner, pool, pids = asyncio.run(go())
+    assert first["id"] == "fast" and first["ok"]
+    assert [r["id"] for r in responses] == ["b", "c"]
+    assert all(r["ok"] for r in responses) and summary["ok"] == 2
+    # the owner settled the abandoned group and handed the pool back
+    assert not owner.is_alive()
+    assert pool._holder is None and pool.open_groups == 0
+    assert all(not w.tasks for w in pool._workers)
+    for pid in pids:
+        os.kill(pid, 0)  # every worker still alive, none replaced
+    assert pool.pids() == pids
+
+
+def test_overlapping_batches_keep_serve_metrics_exact(monkeypatch):
+    from repro.obs.metrics import SERVE_INFLIGHT, Gauge
+
+    seen: list[float] = []
+    for name in ("inc", "dec", "set"):
+        original = getattr(Gauge, name)
+
+        def record(self, *args, _original=original):
+            _original(self, *args)
+            if self.name == SERVE_INFLIGHT:
+                seen.append(self.value)
+
+        monkeypatch.setattr(Gauge, name, record)
+
+    async def go():
+        async with MappingServer(port=0, jobs=2) as server:
+            port = server.bound_port
+            loop = asyncio.get_running_loop()
+            first = loop.run_in_executor(None, lambda: submit(
+                [SLOW, {"id": "a", "kernel": "fir4", "arch": "simple4x4"}],
+                port=port, timeout=120,
+            ))
+            second = loop.run_in_executor(None, lambda: submit(
+                [{"id": "b", "kernel": "dot_product", "arch": "simple4x4"},
+                 {"id": "c", "kernel": "sobel_x", "arch": "simple4x4"},
+                 {"id": "d", "kernel": "fir4", "arch": "simple4x4"}],
+                port=port, timeout=120,
+            ))
+            done = await asyncio.gather(first, second)
+            return done, server.registry.snapshot()
+
+    ((r1, s1), (r2, s2)), snap = asyncio.run(go())
+    assert r1[0]["error"]["type"] == "timeout" and r1[1]["ok"]
+    assert s1["requests"] == 2 and s2["ok"] == 3
+    assert snap[SERVE_REQUESTS_TOTAL]["value"] == 5
+    assert snap[SERVE_BATCHES_TOTAL]["value"] == 2
+    assert snap["serve_inflight"]["value"] == 0
+    # more in flight than either batch alone: they overlapped
+    assert max(seen) > 3
+    assert min(seen) >= 0
+
+
+def test_concurrent_batch_flood_is_answered_in_full():
+    """More clients than cores, with a short thread switch interval so
+    the event loop and the pool-owner thread interleave finely."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    kernels_ = ["dot_product", "fir4", "sobel_x", "sad"]
+    clients = 6
+
+    def batch(c):
+        return [
+            {"id": f"{c}-{k}", "kernel": kernels_[(c + k) % 4],
+             "arch": "simple4x4"}
+            for k in range(3)
+        ]
+
+    async def go():
+        async with MappingServer(port=0, jobs=2) as server:
+            port = server.bound_port
+            loop = asyncio.get_running_loop()
+            with ThreadPoolExecutor(clients) as threads:
+                done = await asyncio.gather(*(
+                    loop.run_in_executor(
+                        threads,
+                        lambda c=c: submit(batch(c), port=port, timeout=120),
+                    )
+                    for c in range(clients)
+                ))
+            return done, server.registry.snapshot()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        done, snap = asyncio.run(go())
+    finally:
+        sys.setswitchinterval(interval)
+    for c, (responses, summary) in enumerate(done):
+        assert [r["id"] for r in responses] == [d["id"] for d in batch(c)]
+        assert all(r["ok"] for r in responses) and summary["ok"] == 3
+    assert snap[SERVE_REQUESTS_TOTAL]["value"] == 3 * clients
+    assert snap[SERVE_BATCHES_TOTAL]["value"] == clients
+    assert snap["serve_inflight"]["value"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import abc
 import logging
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.arch.cgra import CGRA
 from repro.core.exceptions import MapFailure
@@ -33,7 +33,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracer import II_ATTEMPTS, Tracer, get_tracer
 
-__all__ = ["Mapper", "MapperInfo"]
+__all__ = ["Mapper", "MapperInfo", "ii_range"]
 
 _log = logging.getLogger("repro.core.mapper")
 
@@ -179,30 +179,34 @@ class Mapper(abc.ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def ii_range(
-        self, dfg: DFG, cgra: CGRA, ii: int | None, *, slack: int = 0
-    ) -> Iterable[int]:
-        """II values to try: requested II, or MII..min(2*MII+ops, contexts).
+    def search(
+        self,
+        dfg: DFG,
+        cgra: CGRA,
+        ii: int | None,
+        tries: Callable[[int], Iterable[Mapping | None]],
+        failure: str | Callable[[], str],
+    ) -> Mapping:
+        """The modulo mappers' shared II-escalation loop.
 
-        ``slack`` widens the upper end for mappers that need routing
-        headroom.  With tracing enabled, iterating records one ``ii``
-        span per attempted II (wrapping the loop body that consumes
-        the value) and bumps the ``ii_attempts`` counter; disabled, the
-        plain range comes back untouched.
+        For each II from :func:`ii_range`, ``tries(ii)`` yields one
+        candidate mapping per attempt, or ``None`` for an attempt that
+        found nothing.  The first candidate that validates is returned;
+        an invalid one counts as a failed attempt.  When the IIs run
+        out, raises :meth:`fail` with ``failure`` (called first when it
+        is callable, so the message can report what the search saw)
+        and the number of attempts.
         """
-        if ii is not None:
-            values = range(ii, ii + 1)
-        else:
-            prob = MappingProblem(dfg, cgra)
-            lo = prob.mii
-            hi = min(
-                cgra.n_contexts, max(2 * lo + dfg.op_count(), lo) + slack
-            )
-            values = range(lo, hi + 1)
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return values
-        return _traced_ii_iter(values, tracer)
+        attempts = 0
+        for ii_try in ii_range(dfg, cgra, ii):
+            for mapping in tries(ii_try):
+                attempts += 1
+                if mapping is not None and not mapping.validate(
+                    raise_on_error=False
+                ):
+                    return mapping
+        message = failure() if callable(failure) else failure
+        raise self.fail(message, attempts=attempts)
 
     def fail(self, message: str, attempts: int = 0) -> MapFailure:
         """Build a MapFailure tagged with this mapper's name."""
@@ -218,6 +222,26 @@ class Mapper(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(seed={self.seed})"
+
+
+def ii_range(dfg: DFG, cgra: CGRA, ii: int | None) -> Iterable[int]:
+    """II values to try: requested II, or MII..min(2*MII+ops, contexts).
+
+    With tracing enabled, iterating records one ``ii`` span per
+    attempted II (wrapping the loop body that consumes the value) and
+    bumps the ``ii_attempts`` counter; disabled, the plain range comes
+    back untouched.
+    """
+    if ii is not None:
+        values = range(ii, ii + 1)
+    else:
+        lo = MappingProblem(dfg, cgra).mii
+        hi = min(cgra.n_contexts, 2 * lo + dfg.op_count())
+        values = range(lo, hi + 1)
+    tracer = get_tracer()
+    if not tracer.enabled:
+        return values
+    return _traced_ii_iter(values, tracer)
 
 
 def _traced_ii_iter(values: range, tracer: Tracer) -> Iterator[int]:

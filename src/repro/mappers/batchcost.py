@@ -1,85 +1,32 @@
-"""Batch delta-cost evaluation for spatial placement walks.
+"""Delta-cost evaluation for spatial placement walks.
 
 The annealing placers score a move by re-summing the wirelength terms
 of the edges incident to the moved ops (:func:`repro.mappers
 .spatial_common.spatial_cost` is per-edge, so everything else cancels).
-At 4x4 scale a python loop over four edges is fine; at 16x16/32x32 the
-walk proposes *batches* of candidate cells per move and the per-edge
-python loop becomes the placer's hot path.
+At 16x16/32x32 the walk proposes a *batch* of candidate cells per move,
+so :meth:`DeltaCost.move_deltas` scores the whole batch against one
+precomputed per-node incidence list.
 
-This module provides the same evaluator twice:
-
-* :class:`ScalarDeltaCost` — the reference: python loops over edge
-  lists, exactly the PR 3 ``incident_edges`` discipline;
-* :class:`VectorDeltaCost` — numpy: the binding lives in a flat
-  int64 cell array (the same flat, index-computed discipline as the
-  slot-major :class:`~repro.core.resources.Occupancy` arrays), the
-  all-pairs hop-distance table is a shared ``(n_cells, n_cells)``
-  int64 matrix, and a batch of K candidate cells for one op is scored
-  as one ``(K, degree)`` fancy-indexed reduction.
-
-Both paths compute in plain integers (hop distances are integers,
-edge weights are integers), so their results are **bit-identical** —
-not approximately equal — and the clustered placer's walk consumes
-the RNG identically whichever backend is active.  The equivalence
-suite asserts identical accepted/rejected move sequences.
-
-The numpy distance matrix is memoized at module level per architecture
-fingerprint (bounded), mirroring the shared BFS table cache on
-:meth:`repro.arch.cgra.CGRA.distance_table`: pool workers and
-portfolio entrants racing on the same big fabric build it once.
+Costs are plain python integers (hop distances and edge weights are
+integers), so the walk's control decisions never depend on float
+rounding.  Plain loops over the few edges of one node beat array code
+here: at this size numpy's per-call overhead outweighs the work.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-import numpy as np
-
 from repro.arch.cgra import CGRA
 from repro.ir.dfg import DFG, Edge
 
-__all__ = [
-    "DeltaCostEvaluator",
-    "ScalarDeltaCost",
-    "VectorDeltaCost",
-    "make_evaluator",
-    "np_distance_matrix",
-]
+__all__ = ["DeltaCost"]
 
 #: constant cost added per stretched (non-adjacent) edge — see
-#: :class:`DeltaCostEvaluator`
+#: :class:`DeltaCost`
 STRETCH_PENALTY = 2
 
-#: entries kept in the module-level numpy distance-matrix cache
-_NP_DIST_CACHE_SIZE = 8
 
-_np_dist_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
-
-
-def np_distance_matrix(cgra: CGRA) -> np.ndarray:
-    """The all-pairs hop-distance table as a shared int64 matrix.
-
-    Keyed by architecture fingerprint so equal fabrics (fresh preset
-    instances, unpickled copies in pool workers) share one matrix; the
-    cache is bounded LRU.  The matrix is read-only by convention.
-    """
-    from repro.cache.fingerprint import arch_fingerprint
-
-    fp = arch_fingerprint(cgra)
-    hit = _np_dist_cache.get(fp)
-    if hit is not None:
-        _np_dist_cache.move_to_end(fp)
-        return hit
-    mat = np.asarray(cgra.distance_table(), dtype=np.int64)
-    _np_dist_cache[fp] = mat
-    while len(_np_dist_cache) > _NP_DIST_CACHE_SIZE:
-        _np_dist_cache.popitem(last=False)
-    return mat
-
-
-class DeltaCostEvaluator:
-    """Shared precompute: node indexing, edge arrays, per-node incidence.
+class DeltaCost:
+    """Node indexing, per-node incidence and the weighted cost model.
 
     The cost model is the spatial wirelength objective with integer
     per-edge weights, plus a constant penalty per *stretched* edge::
@@ -137,43 +84,6 @@ class DeltaCostEvaluator:
             sorted(set(so) | set(do))
             for so, do in zip(self._src_oth, self._dst_oth)
         ]
-
-    # -- subclass interface -------------------------------------------
-    def new_cells(self, binding: dict[int, int]):
-        """The binding as this backend's flat node-indexed container."""
-        raise NotImplementedError
-
-    def total(self, cells) -> int:
-        """Full weighted wirelength of ``cells``."""
-        raise NotImplementedError
-
-    def edges_cost(self, cells, eids) -> int:
-        """Weighted wirelength restricted to the given edge ids."""
-        raise NotImplementedError
-
-    def move_deltas(self, cells, i: int, cands):
-        """Cost deltas for relocating node index ``i`` to each candidate
-        cell, as a sequence of ints aligned with ``cands``."""
-        raise NotImplementedError
-
-    def union_eids(self, i: int, j: int):
-        """Sorted distinct edge ids incident to node indices i or j."""
-        raise NotImplementedError
-
-    def bump_weight(self, eid: int, add: int = 1) -> None:
-        """Raise one edge's weight (routing-repair escalation)."""
-        raise NotImplementedError
-
-    def stretched_edges(self, cells) -> list[int]:
-        """Edge ids whose endpoints are non-adjacent (term > 0)."""
-        raise NotImplementedError
-
-
-class ScalarDeltaCost(DeltaCostEvaluator):
-    """Reference python-loop backend (the PR 3 discipline)."""
-
-    def __init__(self, dfg: DFG, cgra: CGRA) -> None:
-        super().__init__(dfg, cgra)
         self._dist = cgra.distance_table()
         self._w = [1] * len(self.edges)
         self._all_eids = [
@@ -182,12 +92,15 @@ class ScalarDeltaCost(DeltaCostEvaluator):
         ]
 
     def new_cells(self, binding: dict[int, int]) -> list[int]:
+        """The binding as a flat node-indexed cell list."""
         return [binding[nid] for nid in self.nodes]
 
-    def total(self, cells) -> int:
+    def total(self, cells: list[int]) -> int:
+        """Full weighted wirelength of ``cells``."""
         return self.edges_cost(cells, range(len(self.edges)))
 
-    def edges_cost(self, cells, eids) -> int:
+    def edges_cost(self, cells: list[int], eids) -> int:
+        """Weighted wirelength restricted to the given edge ids."""
         dist, w, idx = self._dist, self._w, self.index
         total = 0
         for eid in eids:
@@ -197,7 +110,11 @@ class ScalarDeltaCost(DeltaCostEvaluator):
                 total += w[eid] * (d - 1 + STRETCH_PENALTY)
         return total
 
-    def move_deltas(self, cells, i: int, cands) -> list[int]:
+    def move_deltas(
+        self, cells: list[int], i: int, cands: list[int]
+    ) -> list[int]:
+        """Cost deltas for relocating node index ``i`` to each
+        candidate cell, aligned with ``cands``."""
         dist, w = self._dist, self._w
         old = cells[i]
         src_pairs = [
@@ -233,100 +150,9 @@ class ScalarDeltaCost(DeltaCostEvaluator):
         return out
 
     def union_eids(self, i: int, j: int) -> list[int]:
+        """Sorted distinct edge ids incident to node indices i or j."""
         return sorted(set(self._all_eids[i]) | set(self._all_eids[j]))
 
     def bump_weight(self, eid: int, add: int = 1) -> None:
+        """Raise one edge's weight (routing-repair escalation)."""
         self._w[eid] += add
-
-    def stretched_edges(self, cells) -> list[int]:
-        dist, idx = self._dist, self.index
-        return [
-            eid
-            for eid, e in enumerate(self.edges)
-            if dist[cells[idx[e.src]]][cells[idx[e.dst]]] > 1
-        ]
-
-
-class VectorDeltaCost(DeltaCostEvaluator):
-    """numpy backend: flat arrays, batched fancy-indexed reductions."""
-
-    def __init__(self, dfg: DFG, cgra: CGRA) -> None:
-        super().__init__(dfg, cgra)
-        self._D = np_distance_matrix(cgra)
-        m = len(self.edges)
-        self._esrc = np.array(
-            [self.index[e.src] for e in self.edges], dtype=np.int64
-        ).reshape(m)
-        self._edst = np.array(
-            [self.index[e.dst] for e in self.edges], dtype=np.int64
-        ).reshape(m)
-        self._w = np.ones(m, dtype=np.int64)
-        as_arr = lambda rows: [
-            np.array(r, dtype=np.int64) for r in rows
-        ]
-        self._src_eids_np = as_arr(self._src_eids)
-        self._src_oth_np = as_arr(self._src_oth)
-        self._dst_eids_np = as_arr(self._dst_eids)
-        self._dst_oth_np = as_arr(self._dst_oth)
-        self._all_eids_np = [
-            np.union1d(se, de)
-            for se, de in zip(self._src_eids_np, self._dst_eids_np)
-        ]
-
-    def new_cells(self, binding: dict[int, int]) -> np.ndarray:
-        return np.array(
-            [binding[nid] for nid in self.nodes], dtype=np.int64
-        )
-
-    @staticmethod
-    def _terms(d: np.ndarray) -> np.ndarray:
-        return np.where(d > 1, d - 1 + STRETCH_PENALTY, 0)
-
-    def total(self, cells) -> int:
-        d = self._D[cells[self._esrc], cells[self._edst]]
-        return int((self._w * self._terms(d)).sum())
-
-    def edges_cost(self, cells, eids) -> int:
-        eids = np.asarray(eids, dtype=np.int64)
-        if eids.size == 0:
-            return 0
-        d = self._D[
-            cells[self._esrc[eids]], cells[self._edst[eids]]
-        ]
-        return int((self._w[eids] * self._terms(d)).sum())
-
-    def move_deltas(self, cells, i: int, cands) -> np.ndarray:
-        D = self._D
-        old = cells[i]
-        oc = cells[self._src_oth_np[i]]  # cells of our consumers' side
-        sc = cells[self._dst_oth_np[i]]  # cells of our producers' side
-        ws = self._w[self._src_eids_np[i]]
-        wd = self._w[self._dst_eids_np[i]]
-        old_sum = (ws * self._terms(D[old, oc])).sum() + (
-            wd * self._terms(D[sc, old])
-        ).sum()
-        cand = np.asarray(cands, dtype=np.int64)
-        new = (
-            ws[None, :] * self._terms(D[cand[:, None], oc[None, :]])
-        ).sum(axis=1) + (
-            wd[None, :] * self._terms(D[sc[None, :], cand[:, None]])
-        ).sum(axis=1)
-        return new - old_sum
-
-    def union_eids(self, i: int, j: int) -> np.ndarray:
-        return np.union1d(self._all_eids_np[i], self._all_eids_np[j])
-
-    def bump_weight(self, eid: int, add: int = 1) -> None:
-        self._w[eid] += add
-
-    def stretched_edges(self, cells) -> list[int]:
-        d = self._D[cells[self._esrc], cells[self._edst]]
-        return [int(eid) for eid in np.nonzero(d > 1)[0]]
-
-
-def make_evaluator(
-    dfg: DFG, cgra: CGRA, *, vectorized: bool = True
-) -> DeltaCostEvaluator:
-    """Build the requested backend (both are semantically identical)."""
-    cls = VectorDeltaCost if vectorized else ScalarDeltaCost
-    return cls(dfg, cgra)

@@ -10,6 +10,8 @@ to return a schedule-length-optimal mapping.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -124,21 +126,16 @@ class BranchAndBoundMapper(Mapper):
         return best
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
-        attempts = 0
-        for ii_try in self.ii_range(dfg, cgra, ii):
+        def tries(ii_try: int) -> Iterator[Mapping | None]:
             for rounds in range(self.max_route_rounds + 1):
-                attempts += 1
                 work = (
                     dfg if rounds == 0 else split_dist0_edges(dfg, rounds)
                 )
                 assign = self._solve(work, cgra, ii_try)
-                if assign is None:
-                    continue
-                mapping = adjplace.build_mapping(
+                yield None if assign is None else adjplace.build_mapping(
                     work, cgra, ii_try, assign, self.info.name
                 )
-                if not mapping.validate(raise_on_error=False):
-                    return mapping
-        raise self.fail(
-            f"search space exhausted on {cgra.name}", attempts=attempts
+
+        return self.search(
+            dfg, cgra, ii, tries, f"search space exhausted on {cgra.name}"
         )

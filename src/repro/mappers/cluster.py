@@ -18,9 +18,7 @@ at two granularities —
    of the wirelength bill.
 3. **Refine** — a delta-cost anneal over the *whole* fabric (moves
    freely cross cluster boundaries), scoring a batch of candidate
-   cells per move through :mod:`repro.mappers.batchcost` — the
-   numpy-vectorized evaluator by default, the scalar reference on
-   request, bit-identical either way.
+   cells per move through :class:`repro.mappers.batchcost.DeltaCost`.
 
 Routing failures do not discard the placement: the router reports
 every unroutable edge (:func:`route_spatial_partial`), the evaluator's
@@ -40,7 +38,7 @@ from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
 from repro.core.registry import register
 from repro.ir.dfg import DFG, Edge
-from repro.mappers.batchcost import DeltaCostEvaluator, make_evaluator
+from repro.mappers.batchcost import DeltaCost
 from repro.mappers.partition import partition
 from repro.mappers.spatial_common import (
     candidate_cells,
@@ -194,7 +192,6 @@ class ClusteredSpatialMapper(Mapper):
         moves_per_temp: int | None = None,
         restarts: int = 3,
         repair_rounds: int = 4,
-        vectorized: bool = True,
         route_engine: str = "flat",
     ) -> None:
         super().__init__(seed)
@@ -206,15 +203,12 @@ class ClusteredSpatialMapper(Mapper):
         self.moves_per_temp = moves_per_temp
         self.restarts = restarts
         self.repair_rounds = repair_rounds
-        self.vectorized = vectorized
         self.route_engine = route_engine
 
     def cache_token(self) -> str:
-        # vectorized is deliberately absent: both backends produce the
-        # same mapping (the bit-identity the equivalence suite checks),
-        # so they may alias in the cache.  route_engine is present:
-        # the flat engine's incremental rip-up may settle on different
-        # (equally legal) routes than the scalar full re-route.
+        # route_engine is present: the flat engine's incremental
+        # rip-up may settle on different (equally legal) routes than
+        # the scalar full re-route.
         return (
             f"region={self.region};batch={self.batch};"
             f"t={self.t_start}:{self.t_end}:{self.cooling};"
@@ -297,8 +291,8 @@ class ClusteredSpatialMapper(Mapper):
     # -- phase 3: batched refinement -----------------------------------
     def refine(
         self,
-        ev: DeltaCostEvaluator,
-        cells,
+        ev: DeltaCost,
+        cells: list[int],
         rng: random.Random,
         *,
         t_start: float | None = None,
@@ -308,11 +302,10 @@ class ClusteredSpatialMapper(Mapper):
     ) -> None:
         """Anneal ``cells`` in place with batch-scored moves.
 
-        Every RNG draw and every control decision happens here, on
-        plain python ints — the evaluator only supplies integer costs —
-        so a seeded walk is bit-identical across the scalar and
-        vectorized backends (``journal`` records each proposal for the
-        equivalence suite: ``(node, target, delta, accepted)``).
+        Every RNG draw and every control decision happens here; the
+        evaluator only supplies integer costs.  ``journal`` records
+        each proposal as ``(node, target, delta, accepted)`` so tests
+        can pin the seeded walk.
         """
         tracer = get_tracer()
         n = len(ev.nodes)
@@ -336,7 +329,7 @@ class ClusteredSpatialMapper(Mapper):
             options.append(opts)
         support = [set(o) for o in options]
         near = near_cells(cgra)
-        owner = {int(cells[i]): i for i in range(n)}
+        owner = {cells[i]: i for i in range(n)}
         moves = self.moves_per_temp or max(40, 2 * n)
         batch = self.batch
         temp = self.t_start if t_start is None else t_start
@@ -360,7 +353,7 @@ class ClusteredSpatialMapper(Mapper):
                     a = nbrs[rng.randrange(len(nbrs))]
                     pool = [
                         c
-                        for c in near[int(cells[a])]
+                        for c in near[cells[a]]
                         if c in support[i]
                     ]
                     if pool:
@@ -371,17 +364,15 @@ class ClusteredSpatialMapper(Mapper):
                     else rng.sample(opts, batch)
                 )
                 deltas = ev.move_deltas(cells, i, cands)
-                # First-min argmin in shared python code: both
-                # backends hand back int64-valued sequences, so the
-                # chosen index — and thus the walk — is identical.
+                # First-min argmin: ties go to the earliest candidate.
                 best_k = 0
-                best_d = int(deltas[0])
+                best_d = deltas[0]
                 for k in range(1, len(cands)):
-                    d = int(deltas[k])
+                    d = deltas[k]
                     if d < best_d:
                         best_k, best_d = k, d
                 target = cands[best_k]
-                old = int(cells[i])
+                old = cells[i]
                 if target == old:
                     if journal is not None:
                         journal.append((i, target, 0, False))
@@ -399,12 +390,12 @@ class ClusteredSpatialMapper(Mapper):
                     cells[i], cells[j] = target, old
                     delta = ev.edges_cost(cells, eids) - before
                     cells[i], cells[j] = old, target  # undo probe
-                accepted = bool(
+                accepted = (
                     delta <= 0
                     or rng.random() < math.exp(-delta / temp)
                 )
                 if journal is not None:
-                    journal.append((i, target, int(delta), accepted))
+                    journal.append((i, target, delta, accepted))
                 if not accepted:
                     tracer.count(BACKTRACKS)
                     continue
@@ -418,7 +409,7 @@ class ClusteredSpatialMapper(Mapper):
             temp *= self.cooling
 
     def _directed_repair(
-        self, ev: DeltaCostEvaluator, cells, failed: list[Edge]
+        self, ev: DeltaCost, cells: list[int], failed: list[Edge]
     ) -> int:
         """Relocate failed-edge endpoints to their best *free* cell.
 
@@ -430,7 +421,7 @@ class ClusteredSpatialMapper(Mapper):
         test is dominated by exactly the edges the router rejected.
         """
         dfg, cgra = ev.dfg, ev.cgra
-        owner = {int(cells[k]): k for k in range(len(ev.nodes))}
+        owner = {cells[k]: k for k in range(len(ev.nodes))}
         moved = 0
         for e in failed:
             for nid in (e.dst, e.src):
@@ -444,13 +435,13 @@ class ClusteredSpatialMapper(Mapper):
                     continue
                 deltas = ev.move_deltas(cells, i, opts)
                 best_k = 0
-                best_d = int(deltas[0])
+                best_d = deltas[0]
                 for k in range(1, len(opts)):
-                    d = int(deltas[k])
+                    d = deltas[k]
                     if d < best_d:
                         best_k, best_d = k, d
                 if best_d < 0:
-                    old = int(cells[i])
+                    old = cells[i]
                     cells[i] = opts[best_k]
                     del owner[old]
                     owner[opts[best_k]] = i
@@ -462,8 +453,8 @@ class ClusteredSpatialMapper(Mapper):
         self,
         dfg: DFG,
         cgra: CGRA,
-        ev: DeltaCostEvaluator,
-        cells,
+        ev: DeltaCost,
+        cells: list[int],
         rng,
         channels: frozenset[int] = frozenset(),
     ) -> tuple[dict[int, int], dict[Edge, list[Step]]] | None:
@@ -479,7 +470,7 @@ class ClusteredSpatialMapper(Mapper):
 
         def attempt() -> tuple[dict[int, int], dict, list[Edge]]:
             binding = {
-                nid: int(cells[i]) for i, nid in enumerate(ev.nodes)
+                nid: cells[i] for i, nid in enumerate(ev.nodes)
             }
             tracer.count(ROUTING_ATTEMPTS)
             routes, failed = route_spatial_partial(dfg, cgra, binding)
@@ -567,9 +558,7 @@ class ClusteredSpatialMapper(Mapper):
                         f" {cgra.name}",
                         attempts=attempts,
                     )
-                ev = make_evaluator(
-                    dfg, cgra, vectorized=self.vectorized
-                )
+                ev = DeltaCost(dfg, cgra)
                 cells = ev.new_cells(binding)
                 _, seed_failed = route_spatial_partial(
                     dfg, cgra, binding
@@ -587,10 +576,7 @@ class ClusteredSpatialMapper(Mapper):
                 _, ref_failed = route_spatial_partial(
                     dfg,
                     cgra,
-                    {
-                        nid: int(cells[i])
-                        for i, nid in enumerate(ev.nodes)
-                    },
+                    {nid: cells[i] for i, nid in enumerate(ev.nodes)},
                 )
                 if len(ref_failed) > len(seed_failed):
                     cells[:] = seed_snap

@@ -10,6 +10,7 @@ same II before paying for a larger one.
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
@@ -64,22 +65,16 @@ class CrimsonMapper(Mapper):
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         rng = random.Random(self.seed)
-        attempts = 0
-        for ii_try in self.ii_range(dfg, cgra, ii):
+
+        def tries(ii_try: int) -> Iterator[Mapping | None]:
             for r in range(self.restarts):
-                attempts += 1
                 if r == 0:
                     order = priority_order(dfg, by="height")
                 else:
                     order = self._random_topo_order(dfg, rng)
-                mapping = greedy_construct(
-                    dfg, cgra, ii_try, order, rng=rng
-                )
-                if mapping is not None and not mapping.validate(
-                    raise_on_error=False
-                ):
-                    return mapping
-        raise self.fail(
+                yield greedy_construct(dfg, cgra, ii_try, order, rng=rng)
+
+        return self.search(
+            dfg, cgra, ii, tries,
             f"no feasible II after randomised restarts on {cgra.name}",
-            attempts=attempts,
         )

@@ -12,6 +12,8 @@ rest.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -107,11 +109,10 @@ class CSPMapper(Mapper):
         return {nid: sol[f"n{nid}"] for nid in domains}
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
-        attempts = 0
         hints: dict[int, dict[int, adjplace.Slot]] = {}
-        for ii_try in self.ii_range(dfg, cgra, ii):
+
+        def tries(ii_try: int) -> Iterator[Mapping | None]:
             for rounds in range(self.max_route_rounds + 1):
-                attempts += 1
                 work = (
                     dfg if rounds == 0 else split_dist0_edges(dfg, rounds)
                 )
@@ -119,14 +120,14 @@ class CSPMapper(Mapper):
                     work, cgra, ii_try, hint=hints.get(rounds)
                 )
                 if assign is None:
+                    yield None
                     continue
                 hints[rounds] = assign
-                mapping = adjplace.build_mapping(
+                yield adjplace.build_mapping(
                     work, cgra, ii_try, assign, self.info.name
                 )
-                if not mapping.validate(raise_on_error=False):
-                    return mapping
-        raise self.fail(
+
+        return self.search(
+            dfg, cgra, ii, tries,
             f"CSP proved the windowed model infeasible on {cgra.name}",
-            attempts=attempts,
         )

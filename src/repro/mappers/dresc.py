@@ -11,7 +11,6 @@ starts at MII and grows on failure, as in the original.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 
@@ -25,8 +24,6 @@ from repro.mappers.schedule import asap, priority_order
 from repro.obs.tracer import BACKTRACKS, CANDIDATES_EXPLORED, get_tracer
 
 __all__ = ["DRESCMapper"]
-
-_log = logging.getLogger("repro.mappers.dresc")
 
 UNROUTED_PENALTY = 50.0
 
@@ -174,25 +171,14 @@ class DRESCMapper(Mapper):
                     tracer.count(BACKTRACKS)
                     state.undo_to(start)
             temp *= self.cooling
-        if not state.unrouted_edges():
-            mapping = state.to_mapping(self.info.name)
-            if not mapping.validate(raise_on_error=False):
-                return mapping
-        return None
+        if state.unrouted_edges():
+            return None
+        return state.to_mapping(self.info.name)
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         rng = random.Random(self.seed)
-        attempts = 0
-        for ii_try in self.ii_range(dfg, cgra, ii):
-            attempts += 1
-            mapping = self._anneal(dfg, cgra, ii_try, rng)
-            if mapping is not None:
-                return mapping
-            _log.debug(
-                "dresc: II=%d infeasible for %s, escalating",
-                ii_try, dfg.name,
-            )
-        raise self.fail(
+        return self.search(
+            dfg, cgra, ii,
+            lambda ii_try: [self._anneal(dfg, cgra, ii_try, rng)],
             f"annealing found no feasible II for {dfg.name} on {cgra.name}",
-            attempts=attempts,
         )

@@ -80,19 +80,11 @@ class EdgeCentricMapper(Mapper):
                 return None
             placed = state.place(nid, best[1], best[2])
             assert placed, "probed slot must remain placeable"
-        mapping = state.to_mapping(self.info.name)
-        if mapping.validate(raise_on_error=False):
-            return None
-        return mapping
+        return state.to_mapping(self.info.name)
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
-        attempts = 0
-        for ii_try in self.ii_range(dfg, cgra, ii):
-            attempts += 1
-            mapping = self._attempt(dfg, cgra, ii_try)
-            if mapping is not None:
-                return mapping
-        raise self.fail(
+        return self.search(
+            dfg, cgra, ii,
+            lambda ii_try: [self._attempt(dfg, cgra, ii_try)],
             f"no feasible II for {dfg.name} on {cgra.name}",
-            attempts=attempts,
         )

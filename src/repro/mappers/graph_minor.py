@@ -12,6 +12,8 @@ space (the exhaustive version is :mod:`repro.mappers.bnb_mapper`).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -146,21 +148,16 @@ class GraphMinorMapper(Mapper):
         return dict(assign) if backtrack() else None
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
-        attempts = 0
-        for ii_try in self.ii_range(dfg, cgra, ii):
+        def tries(ii_try: int) -> Iterator[Mapping | None]:
             for rounds in range(self.max_route_rounds + 1):
-                attempts += 1
                 work = (
                     dfg if rounds == 0 else split_dist0_edges(dfg, rounds)
                 )
                 assign = self._search(work, cgra, ii_try)
-                if assign is None:
-                    continue
-                mapping = adjplace.build_mapping(
+                yield None if assign is None else adjplace.build_mapping(
                     work, cgra, ii_try, assign, self.info.name
                 )
-                if not mapping.validate(raise_on_error=False):
-                    return mapping
-        raise self.fail(
-            f"no minor embedding found on {cgra.name}", attempts=attempts
+
+        return self.search(
+            dfg, cgra, ii, tries, f"no minor embedding found on {cgra.name}"
         )

@@ -49,7 +49,7 @@ class HiMapMapper(Mapper):
     def _cluster(self, dfg: DFG, size: int) -> dict[int, int]:
         """Greedy topological clustering into groups of <= size ops."""
         cluster_of: dict[int, int] = {}
-        current, count, cid = [], 0, 0
+        count, cid = 0, 0
         for nid in priority_order(dfg, by="topo"):
             cluster_of[nid] = cid
             count += 1
@@ -108,23 +108,16 @@ class HiMapMapper(Mapper):
                 for c in ordered:
                     yield (c, t)
 
-        mapping = greedy_construct(
+        return greedy_construct(
             dfg, cgra, ii, priority_order(dfg, by="height"),
             candidates=candidates,
         )
-        if mapping is None or mapping.validate(raise_on_error=False):
-            return None
-        return mapping
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
-        attempts = 0
-        for ii_try in self.ii_range(dfg, cgra, ii):
-            for fringe in (0, 1):
-                attempts += 1
-                mapping = self._attempt(dfg, cgra, ii_try, fringe)
-                if mapping is not None:
-                    return mapping
-        raise self.fail(
+        return self.search(
+            dfg, cgra, ii,
+            lambda ii_try: (
+                self._attempt(dfg, cgra, ii_try, fringe) for fringe in (0, 1)
+            ),
             f"hierarchical search exhausted on {cgra.name}",
-            attempts=attempts,
         )

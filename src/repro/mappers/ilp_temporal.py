@@ -14,6 +14,8 @@ exact column.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -127,11 +129,10 @@ class ILPTemporalMapper(Mapper):
         return assign
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
-        attempts = 0
         hints: dict[int, dict[int, adjplace.Slot]] = {}
-        for ii_try in self.ii_range(dfg, cgra, ii):
+
+        def tries(ii_try: int) -> Iterator[Mapping | None]:
             for rounds in range(self.max_route_rounds + 1):
-                attempts += 1
                 work = (
                     dfg if rounds == 0 else split_dist0_edges(dfg, rounds)
                 )
@@ -139,14 +140,14 @@ class ILPTemporalMapper(Mapper):
                     work, cgra, ii_try, hint=hints.get(rounds)
                 )
                 if assign is None:
+                    yield None
                     continue
                 hints[rounds] = assign
-                mapping = adjplace.build_mapping(
+                yield adjplace.build_mapping(
                     work, cgra, ii_try, assign, self.info.name
                 )
-                if not mapping.validate(raise_on_error=False):
-                    return mapping
-        raise self.fail(
+
+        return self.search(
+            dfg, cgra, ii, tries,
             f"ILP proved the windowed model infeasible on {cgra.name}",
-            attempts=attempts,
         )

@@ -36,15 +36,8 @@ class ListSchedulingMapper(Mapper):
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         order = priority_order(dfg, by="height")
-        attempts = 0
-        for ii_try in self.ii_range(dfg, cgra, ii):
-            attempts += 1
-            mapping = greedy_construct(dfg, cgra, ii_try, order)
-            if mapping is not None and not mapping.validate(
-                raise_on_error=False
-            ):
-                return mapping
-        raise self.fail(
+        return self.search(
+            dfg, cgra, ii,
+            lambda ii_try: [greedy_construct(dfg, cgra, ii_try, order)],
             f"no feasible II for {dfg.name} on {cgra.name}",
-            attempts=attempts,
         )

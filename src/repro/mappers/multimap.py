@@ -17,6 +17,7 @@ from typing import Sequence
 
 from repro.arch.cgra import CGRA
 from repro.core.exceptions import MapFailure
+from repro.core.mapper import ii_range
 from repro.core.mapping import Mapping
 from repro.ir.dfg import DFG
 from repro.mappers.construct import PlacementState, greedy_construct
@@ -44,13 +45,6 @@ def multi_map(
     wear: Counter = Counter()  # cell -> accumulated usage
     mappings: list[Mapping] = []
 
-    from repro.core.problem import MappingProblem
-
-    lo = ii if ii is not None else MappingProblem(dfg, cgra).mii
-    hi = ii if ii is not None else min(
-        cgra.n_contexts, 2 * lo + dfg.op_count()
-    )
-
     for _ in range(n_maps):
         def candidates(state: PlacementState, nid, lb, ub):
             op = state.dfg.node(nid).op
@@ -73,7 +67,7 @@ def multi_map(
                     yield (c, t)
 
         mapping = None
-        for ii_try in range(lo, hi + 1):
+        for ii_try in ii_range(dfg, cgra, ii):
             mapping = greedy_construct(
                 dfg, cgra, ii_try, order, candidates=candidates
             )

@@ -16,6 +16,7 @@ implementation keeps that escalation ladder:
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
@@ -68,10 +69,7 @@ class RampMapper(Mapper):
                     break
             if not placed:
                 return None, nid
-        mapping = state.to_mapping(self.info.name)
-        if mapping.validate(raise_on_error=False):
-            return None, None
-        return mapping, None
+        return state.to_mapping(self.info.name), None
 
     @staticmethod
     def _prioritise_neighbourhood(
@@ -94,44 +92,33 @@ class RampMapper(Mapper):
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         rng = random.Random(self.seed)
         base_order = priority_order(dfg, by="height")
-        attempts = 0
-        for ii_try in self.ii_range(dfg, cgra, ii):
+
+        def tries(ii_try: int) -> Iterator[Mapping | None]:
             window = 2 * ii_try + 2
             # Strategy 1: plain pass.
-            attempts += 1
             mapping, failed = self._construct(
                 dfg, cgra, ii_try, base_order, window
             )
-            if mapping is not None:
-                return mapping
+            yield mapping
             # Strategy 2: wider window (more routing-in-time slack).
-            attempts += 1
             mapping, failed2 = self._construct(
                 dfg, cgra, ii_try, base_order, 2 * window
             )
-            if mapping is not None:
-                return mapping
+            yield mapping
             # Strategy 3: failure-driven re-prioritisation.
             focus = failed if failed is not None else failed2
             if focus is not None:
-                attempts += 1
                 order = self._prioritise_neighbourhood(
                     dfg, base_order, focus
                 )
-                mapping, _ = self._construct(
-                    dfg, cgra, ii_try, order, window
-                )
-                if mapping is not None:
-                    return mapping
+                yield self._construct(dfg, cgra, ii_try, order, window)[0]
             # Strategy 4: randomised retries.
             for _ in range(self.random_retries):
-                attempts += 1
-                mapping, _ = self._construct(
+                yield self._construct(
                     dfg, cgra, ii_try, base_order, window, rng=rng
-                )
-                if mapping is not None:
-                    return mapping
-        raise self.fail(
+                )[0]
+
+        return self.search(
+            dfg, cgra, ii, tries,
             f"all remapping strategies exhausted on {cgra.name}",
-            attempts=attempts,
         )

@@ -63,17 +63,12 @@ class RegimapMapper(Mapper):
                 for c in cells:
                     yield (c, t)
 
-        attempts = 0
-        for ii_try in self.ii_range(dfg, cgra, ii):
-            attempts += 1
-            mapping = greedy_construct(
-                dfg, cgra, ii_try, order, candidates=candidates
-            )
-            if mapping is not None and not mapping.validate(
-                raise_on_error=False
-            ):
-                return mapping
-        raise self.fail(
+        return self.search(
+            dfg, cgra, ii,
+            lambda ii_try: [
+                greedy_construct(
+                    dfg, cgra, ii_try, order, candidates=candidates
+                )
+            ],
             f"no feasible II for {dfg.name} on {cgra.name}",
-            attempts=attempts,
         )

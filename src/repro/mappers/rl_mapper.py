@@ -171,13 +171,8 @@ class RLMapper(Mapper):
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         rng = np.random.default_rng(self.seed)
-        attempts = 0
-        for ii_try in self.ii_range(dfg, cgra, ii):
-            attempts += 1
-            mapping = self._train(dfg, cgra, ii_try, rng)
-            if mapping is not None:
-                return mapping
-        raise self.fail(
+        return self.search(
+            dfg, cgra, ii,
+            lambda ii_try: [self._train(dfg, cgra, ii_try, rng)],
             f"policy never learned a feasible placement on {cgra.name}",
-            attempts=attempts,
         )

@@ -29,6 +29,8 @@ and equivalence suites compare against).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -243,19 +245,20 @@ class SATMapper(Mapper):
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         tracer = get_tracer()
-        attempts = 0
         undetermined = False
         models: dict[int, _IncrementalModel] = {}
         works: dict[int, DFG] = {}
-        for ii_try in self.ii_range(dfg, cgra, ii):
+
+        def tries(ii_try: int) -> Iterator[Mapping | None]:
+            nonlocal undetermined
             for rounds in range(self.max_route_rounds + 1):
-                attempts += 1
                 work = works.get(rounds)
                 if work is None:
                     work = (
                         dfg if rounds == 0 else split_dist0_edges(dfg, rounds)
                     )
                     works[rounds] = work
+                mapping = None
                 with tracer.span("route_round", round=rounds):
                     tracer.count(CANDIDATES_EXPLORED, work.op_count())
                     if self.engine == "dpll":
@@ -270,22 +273,20 @@ class SATMapper(Mapper):
                             model, work, cgra, ii_try
                         )
                     undetermined = undetermined or limited
-                    if assign is None:
-                        continue
-                    tracer.count(ROUTING_ATTEMPTS)
-                    mapping = adjplace.build_mapping(
-                        work, cgra, ii_try, assign, self.info.name
-                    )
-                if not mapping.validate(raise_on_error=False):
-                    return mapping
-        if undetermined:
-            raise self.fail(
-                "undetermined: the conflict limit was reached before"
-                f" infeasibility could be proven on {cgra.name}"
-                " (raise conflict_limit to get a proof)",
-                attempts=attempts,
-            )
-        raise self.fail(
-            f"UNSAT for every windowed model on {cgra.name}",
-            attempts=attempts,
-        )
+                    if assign is not None:
+                        tracer.count(ROUTING_ATTEMPTS)
+                        mapping = adjplace.build_mapping(
+                            work, cgra, ii_try, assign, self.info.name
+                        )
+                yield mapping
+
+        def failure() -> str:
+            if undetermined:
+                return (
+                    "undetermined: the conflict limit was reached before"
+                    f" infeasibility could be proven on {cgra.name}"
+                    " (raise conflict_limit to get a proof)"
+                )
+            return f"UNSAT for every windowed model on {cgra.name}"
+
+        return self.search(dfg, cgra, ii, tries, failure)

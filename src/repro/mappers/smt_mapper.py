@@ -40,6 +40,8 @@ lazy-SMT trade-off.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -299,12 +301,11 @@ class SMTMapper(Mapper):
         return None
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
-        attempts = 0
         skeletons: dict[int, _Skeleton] = {}
         works: dict[int, DFG] = {}
-        for ii_try in self.ii_range(dfg, cgra, ii):
+
+        def tries(ii_try: int) -> Iterator[Mapping | None]:
             for rounds in range(self.max_route_rounds + 1):
-                attempts += 1
                 work = works.get(rounds)
                 if work is None:
                     work = (
@@ -314,20 +315,22 @@ class SMTMapper(Mapper):
                 skeleton = skeletons.get(rounds)
                 if skeleton is None:
                     skeleton = skeletons[rounds] = _Skeleton(work, cgra)
-                if not skeleton.ok:
-                    continue
-                solved = self._solve(skeleton, work, cgra, ii_try)
+                solved = (
+                    self._solve(skeleton, work, cgra, ii_try)
+                    if skeleton.ok
+                    else None
+                )
                 if solved is None:
+                    yield None
                     continue
                 binding, schedule = solved
                 assign = {
                     nid: (binding[nid], schedule[nid]) for nid in binding
                 }
-                mapping = adjplace.build_mapping(
+                yield adjplace.build_mapping(
                     work, cgra, ii_try, assign, self.info.name
                 )
-                if not mapping.validate(raise_on_error=False):
-                    return mapping
-        raise self.fail(
-            f"SMT skeleton exhausted on {cgra.name}", attempts=attempts
+
+        return self.search(
+            dfg, cgra, ii, tries, f"SMT skeleton exhausted on {cgra.name}"
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from typing import Iterator
 
 from repro.arch.cgra import CGRA
 from repro.arch.tec import HOLD, Step
@@ -180,27 +181,24 @@ class SPRMapper(Mapper):
     # ------------------------------------------------------------------
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         rng = random.Random(self.seed)
-        attempts = 0
-        for ii_try in self.ii_range(dfg, cgra, ii):
+
+        def tries(ii_try: int) -> Iterator[Mapping | None]:
             for _ in range(self.perturbations):
-                attempts += 1
                 placed = self._placement(dfg, cgra, ii_try, rng)
                 if placed is None:
-                    break  # FU capacity: only more II helps
+                    yield None
+                    return  # FU capacity: only more II helps
                 binding, schedule = placed
                 routes = self._negotiate(
                     dfg, cgra, ii_try, binding, schedule
                 )
-                if routes is None:
-                    continue
-                mapping = Mapping(
+                yield None if routes is None else Mapping(
                     dfg, cgra, kind="modulo",
                     binding=binding, schedule=schedule,
                     routes=routes, ii=ii_try, mapper=self.info.name,
                 )
-                if not mapping.validate(raise_on_error=False):
-                    return mapping
-        raise self.fail(
+
+        return self.search(
+            dfg, cgra, ii, tries,
             f"negotiation never converged on {cgra.name}",
-            attempts=attempts,
         )

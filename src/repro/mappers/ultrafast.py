@@ -48,19 +48,14 @@ class UltraFastMapper(Mapper):
                     if state.cgra.cell(c).supports(op):
                         yield (c, t)
 
-        attempts = 0
-        for ii_try in self.ii_range(dfg, cgra, ii):
-            attempts += 1
-            mapping = greedy_construct(
-                dfg, cgra, ii_try, order,
-                candidates=candidates,
-                window=max(ii_try, 2),
-            )
-            if mapping is not None and not mapping.validate(
-                raise_on_error=False
-            ):
-                return mapping
-        raise self.fail(
+        return self.search(
+            dfg, cgra, ii,
+            lambda ii_try: [
+                greedy_construct(
+                    dfg, cgra, ii_try, order,
+                    candidates=candidates,
+                    window=max(ii_try, 2),
+                )
+            ],
             f"no feasible II for {dfg.name} on {cgra.name}",
-            attempts=attempts,
         )

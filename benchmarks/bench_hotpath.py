@@ -13,9 +13,8 @@ and writes ``BENCH_hotpath.json`` plus ``BENCH_solver.json``:
   (speedup is bounded by the machine's core count, which is recorded);
 * **solver** — the exact-method family: the CDCL SAT engine vs the
   retained DPLL reference driving :class:`SATMapper` on kernels and a
-  mid-size random DFG (wall + decisions), plus the warm-start hooks
-  (ILP MIP start, CSP value hints) re-solving an II with the prior
-  assignment as the hint;
+  mid-size random DFG (wall + decisions), plus the CSP value hints
+  re-solving an II with the prior assignment as the hint;
 * **cache** — the content-addressed mapping cache (``BENCH_cache.json``):
   a repeated DSE sweep and a repeated compare matrix, cold (empty
   cache) vs warm (same store), with the warm results asserted
@@ -47,7 +46,6 @@ from repro.core.refimpl import DictOccupancy, ReferenceRouter  # noqa: E402
 from repro.core.resources import Occupancy  # noqa: E402
 from repro.ir import kernels, randdfg  # noqa: E402
 from repro.mappers.csp_mapper import CSPMapper  # noqa: E402
-from repro.mappers.ilp_temporal import ILPTemporalMapper  # noqa: E402
 from repro.mappers.routing import RouteRequest, Router  # noqa: E402
 from repro.mappers.sat_mapper import SATMapper  # noqa: E402
 from repro.obs.tracer import (  # noqa: E402
@@ -365,7 +363,7 @@ def _counted(fn) -> tuple[object, float, int]:
 
 
 def bench_solver(smoke: bool) -> dict:
-    """CDCL-vs-DPLL SAT mapping plus ILP/CSP warm-start re-solves."""
+    """CDCL-vs-DPLL SAT mapping plus CSP value-hint re-solves."""
     cgra = presets.simple_cgra(3, 3)
     # SAT workloads: kernels escalate II from the lower bound; the
     # random layered DFG is pinned to its known-feasible II (the DPLL
@@ -413,29 +411,10 @@ def bench_solver(smoke: bool) -> dict:
         "decision_speedup": round(dec_dpll / max(dec_cdcl, 1), 2),
     }
 
-    # Warm-start re-solves: solve an II cold, then the same model again
+    # Value-hint re-solve: solve an II cold, then the same model again
     # with the cold assignment as the hint — the shape of II escalation
     # and route-round retries, where the previous solution usually
-    # survives.  The ILP MIP start admits the incumbent without
-    # branching; the CSP value hints walk straight to the solution.
-    fir4 = kernels.kernel("fir4")
-
-    ilp_mapper = ILPTemporalMapper()
-    cold_assign, ilp_cold_s, ilp_cold_nodes = _counted(
-        lambda: ilp_mapper._solve(fir4, cgra, 2)
-    )
-    assert cold_assign is not None, "ILP cold solve failed"
-    warm_assign, ilp_warm_s, ilp_warm_nodes = _counted(
-        lambda: ilp_mapper._solve(fir4, cgra, 2, hint=cold_assign)
-    )
-    assert warm_assign is not None, "ILP warm solve failed"
-    ilp = {
-        "workload": "fir4@ii2",
-        "cold": {"wall_s": round(ilp_cold_s, 4), "nodes": ilp_cold_nodes},
-        "warm": {"wall_s": round(ilp_warm_s, 4), "nodes": ilp_warm_nodes},
-        "wall_speedup": round(ilp_cold_s / max(ilp_warm_s, 1e-9), 2),
-    }
-
+    # survives and the hints walk straight to it.
     conv = kernels.kernel("conv3x3")
     csp_mapper = CSPMapper()
     csp_cold, csp_cold_s, csp_cold_nodes = _counted(
@@ -453,7 +432,7 @@ def bench_solver(smoke: bool) -> dict:
         "node_ratio": round(csp_cold_nodes / max(csp_warm_nodes, 1), 2),
     }
 
-    return {"sat": sat, "ilp_warm_start": ilp, "csp_value_hints": csp}
+    return {"sat": sat, "csp_value_hints": csp}
 
 
 def main(argv=None) -> int:

@@ -14,9 +14,9 @@ It provides:
 * a parametric CGRA architecture model (:mod:`repro.arch`) including
   the time-extended CGRA (TEC) and the modulo routing resource graph
   (MRRG) abstractions that temporal mappers search;
-* exact optimisation substrates written from scratch
-  (:mod:`repro.solvers`): a 0/1 ILP solver by branch and bound over LP
-  relaxations, a DPLL SAT solver, and an AC-3 CSP solver;
+* exact optimisation substrates (:mod:`repro.solvers`): a 0/1 ILP
+  model builder solved by HiGHS's MILP engine, and, written from
+  scratch, a CDCL SAT solver and an AC-3 CSP solver;
 * the mapping problem formulation and validity checker
   (:mod:`repro.core`), together with a mapper registry that carries the
   survey's Table I taxonomy as machine-readable metadata;

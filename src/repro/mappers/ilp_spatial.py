@@ -7,7 +7,7 @@ op, one op per cell, and every edge constrained to land on physically
 adjacent cells.  Multi-hop communication is recovered by ROUTE-node
 insertion rounds (the ROUTE ops occupy cells, exactly like the route
 resources of the published formulations); an infeasible verdict at a
-round is *proven* by the branch-and-bound ILP solver.
+round is *proven* by the MILP solver (HiGHS).
 
 The objective minimises total edge distance, which for the adjacency
 model means preferring same-cell self-edges and tight clusters.
@@ -60,6 +60,9 @@ class ILPSpatialMapper(Mapper):
         self.node_limit = node_limit
         self.time_limit = time_limit
         self.max_route_rounds = max_route_rounds
+
+    def cache_token(self) -> str:
+        return "solver=highs-milp"
 
     def _solve(self, dfg: DFG, cgra: CGRA) -> dict[int, int] | None:
         nodes = [n.nid for n in dfg.nodes() if not n.op.is_pseudo]

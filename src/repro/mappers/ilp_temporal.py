@@ -8,7 +8,7 @@ slot per operation; constraints are assignment, folded FU exclusivity
 and edge compatibility (implication form).  The program is solved as
 pure feasibility: the II search stops at the first II whose model
 admits an integral point, and infeasibility of every lower II is
-*proven* by the branch-and-bound solver — the defining feature of the
+*proven* by the MILP solver (HiGHS) — the defining feature of the
 exact column.
 """
 
@@ -30,7 +30,7 @@ __all__ = ["ILPTemporalMapper"]
 
 @register
 class ILPTemporalMapper(Mapper):
-    """0/1 ILP over (cell, cycle) slots, solved by our B&B solver."""
+    """0/1 ILP over (cell, cycle) slots, solved exactly by HiGHS."""
 
     info = MapperInfo(
         name="ilp",
@@ -58,12 +58,11 @@ class ILPTemporalMapper(Mapper):
         self.max_route_rounds = max_route_rounds
         self.window = window
 
+    def cache_token(self) -> str:
+        return "solver=highs-milp"
+
     def _solve(
-        self,
-        dfg: DFG,
-        cgra: CGRA,
-        ii: int,
-        hint: dict[int, adjplace.Slot] | None = None,
+        self, dfg: DFG, cgra: CGRA, ii: int
     ) -> dict[int, adjplace.Slot] | None:
         domains = adjplace.slot_domains(dfg, cgra, ii, window=self.window)
         ilp = ILP(name=f"map_{dfg.name}_ii{ii}")
@@ -103,22 +102,9 @@ class ILPTemporalMapper(Mapper):
                 ilp.add_constraint(coeffs, ">=", 0.0)
 
         # Pure feasibility: any integral point proves the II, so the
-        # first incumbent terminates the search immediately.  A prior
-        # assignment (earlier II or round) becomes a MIP start: if it
-        # is still feasible here, the solver returns without branching.
-        warm = None
-        if hint is not None:
-            warm = {v: 0.0 for v in var.values()}
-            for nid, s in hint.items():
-                idx = var.get((nid, s))
-                if idx is None:
-                    warm = None
-                    break
-                warm[idx] = 1.0
+        # first incumbent terminates the search immediately.
         res = ilp.solve(
-            node_limit=self.node_limit,
-            time_limit=self.time_limit,
-            warm_start=warm,
+            node_limit=self.node_limit, time_limit=self.time_limit
         )
         if not res.ok:
             return None
@@ -129,20 +115,15 @@ class ILPTemporalMapper(Mapper):
         return assign
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
-        hints: dict[int, dict[int, adjplace.Slot]] = {}
-
         def tries(ii_try: int) -> Iterator[Mapping | None]:
             for rounds in range(self.max_route_rounds + 1):
                 work = (
                     dfg if rounds == 0 else split_dist0_edges(dfg, rounds)
                 )
-                assign = self._solve(
-                    work, cgra, ii_try, hint=hints.get(rounds)
-                )
+                assign = self._solve(work, cgra, ii_try)
                 if assign is None:
                     yield None
                     continue
-                hints[rounds] = assign
                 yield adjplace.build_mapping(
                     work, cgra, ii_try, assign, self.info.name
                 )

@@ -1,23 +1,23 @@
-"""Exact optimisation substrates, written from scratch.
+"""Exact optimisation substrates.
 
 The survey's Table I puts ILP / branch-and-bound and constraint
 satisfaction (CP, SAT, SMT) formulations in the "exact methods" column
 — "the main feature of the exact based methods is that they can prove
 the optimality".  Commercial solvers back the published work; none is
-available here, so this package implements the three substrates the
+available here, so this package provides the three substrates the
 exact mappers need:
 
 * :mod:`repro.solvers.ilp` — a 0/1-and-bounded-integer linear program
-  solver by best-first branch and bound over :func:`scipy.optimize
-  .linprog` LP relaxations (cross-checked against ``scipy.optimize
-  .milp`` in the test suite);
-* :mod:`repro.solvers.sat` — a DPLL SAT solver with two-watched-literal
-  unit propagation, conflict-bumped activity branching and
-  chronological backtracking, plus CNF-building helpers
-  (at-most-one / exactly-one encodings);
+  builder whose models are solved by HiGHS through
+  :func:`scipy.optimize.milp` (cross-checked against brute-force
+  enumeration in the test suite);
+* :mod:`repro.solvers.sat` — a CDCL SAT solver (1-UIP clause learning,
+  VSIDS branching, phase saving, Luby restarts, incremental solving
+  under assumptions; the DPLL reference engine is retained for
+  differential testing), plus CNF-building helpers (at-most-one /
+  exactly-one encodings);
 * :mod:`repro.solvers.csp` — a finite-domain CSP solver: backtracking
-  with MRV variable choice, forward checking and AC-3 propagation.
-"""
+  with MRV variable choice, forward checking and AC-3 propagation."""
 
 from repro.solvers.ilp import ILP, ILPResult, ILPStatus
 from repro.solvers.sat import CNF, SatResult, SatSolver

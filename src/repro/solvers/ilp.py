@@ -1,38 +1,33 @@
-"""A small integer linear programming solver.
+"""A small integer linear programming model builder.
 
-Branch and bound over LP relaxations solved by
-:func:`scipy.optimize.linprog` (HiGHS).  Designed for the mapping
-formulations in :mod:`repro.mappers` — dense 0/1 models with a few
-thousand variables at most — not as a general-purpose MILP engine.
+Models are built incrementally (variables, rows, objective) and solved
+by :func:`scipy.optimize.milp`, i.e. HiGHS's own branch and cut.  Sized
+for the mapping formulations in :mod:`repro.mappers`: sparse 0/1
+models with a few thousand variables at most.
 
 Model form (minimisation)::
 
     minimise     c @ x
-    subject to   A_ub @ x <= b_ub
-                 A_eq @ x == b_eq
+    subject to   lo <= A @ x <= hi     (one row per <=, >= or == constraint)
                  lb <= x <= ub,   x[i] integer for i in integers
 
-Search strategy: best-first on the relaxation bound with most-
-fractional branching; an initial depth-first dive finds an incumbent
-early so the bound can prune.  Node and time limits make the solver
-safe to embed in the II-search loops of the exact mappers.
+Node and time limits make the solver safe to embed in the II-search
+loops of the exact mappers; a limit hit returns the best integral
+point HiGHS found, if any, without proof of optimality.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
-import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_array
 
 from repro.obs.tracer import SOLVER_CLAUSES, SOLVER_NODES, get_tracer
 
 __all__ = ["ILP", "ILPResult", "ILPStatus"]
-
-_INT_TOL = 1e-6
 
 
 class ILPStatus(enum.Enum):
@@ -118,182 +113,98 @@ class ILP:
         self._obj = dict(coeffs)
 
     # ------------------------------------------------------------------
-    def _matrices(self):
-        n = self.n_vars
-        c = np.zeros(n)
-        for i, v in self._obj.items():
-            c[i] = v
-        rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
-        for coeffs, sense, rhs in self._cons:
-            row = np.zeros(n)
-            for i, v in coeffs.items():
-                row[i] = v
-            if sense == "<=":
-                rows_ub.append(row)
-                rhs_ub.append(rhs)
-            elif sense == ">=":
-                rows_ub.append(-row)
-                rhs_ub.append(-rhs)
-            else:
-                rows_eq.append(row)
-                rhs_eq.append(rhs)
-        A_ub = np.array(rows_ub) if rows_ub else None
-        b_ub = np.array(rhs_ub) if rhs_ub else None
-        A_eq = np.array(rows_eq) if rows_eq else None
-        b_eq = np.array(rhs_eq) if rhs_eq else None
-        return c, A_ub, b_ub, A_eq, b_eq
-
     def solve(
         self,
         *,
         node_limit: int = 200_000,
         time_limit: float | None = None,
-        warm_start: dict[int, float] | None = None,
     ) -> ILPResult:
-        """Run branch and bound; returns an :class:`ILPResult`.
-
-        ``warm_start`` maps variable indices to candidate values (a
-        MIP start, e.g. the previous II's solution re-expressed in
-        this model's variables).  If the completed vector is feasible
-        it becomes the incumbent before the search starts, so the
-        bound prunes from node one; an infeasible start is ignored.
+        """Solve the model; returns an :class:`ILPResult`.
 
         With tracing enabled the run is wrapped in an ``ilp_solve``
         span tagged with the model size, counting ``solver_clauses``
-        (constraint rows) and ``solver_nodes`` (B&B nodes).
+        (constraint rows) and ``solver_nodes`` (HiGHS B&B nodes).
         """
         tracer = get_tracer()
         if not tracer.enabled:
-            return self._solve_impl(
-                node_limit=node_limit,
-                time_limit=time_limit,
-                warm_start=warm_start,
-            )
+            return self._solve_impl(node_limit, time_limit)
         with tracer.span(
             "ilp_solve",
             model=self.name,
             vars=self.n_vars,
             constraints=self.n_constraints,
         ) as span:
-            result = self._solve_impl(
-                node_limit=node_limit,
-                time_limit=time_limit,
-                warm_start=warm_start,
-            )
+            result = self._solve_impl(node_limit, time_limit)
             span.count(SOLVER_CLAUSES, self.n_constraints)
             span.count(SOLVER_NODES, result.nodes)
             span.tag(status=result.status.value)
             return result
 
-    def _warm_incumbent(
-        self, warm_start: dict[int, float], c: np.ndarray
-    ) -> tuple[np.ndarray, float] | None:
-        """The warm start as a feasible incumbent, or None."""
-        x = np.array(self._lb, dtype=float)
-        for i, v in warm_start.items():
-            x[i] = v
-        if np.any(x < np.array(self._lb) - _INT_TOL) or np.any(
-            x > np.array(self._ub) + _INT_TOL
-        ):
-            return None
-        int_mask = np.array(self._integer, dtype=bool)
-        if np.any(np.abs(x - np.round(x))[int_mask] > _INT_TOL):
-            return None
-        x = np.where(int_mask, np.round(x), x)
-        for coeffs, sense, rhs in self._cons:
-            lhs = sum(v * x[i] for i, v in coeffs.items())
-            if sense == "<=" and lhs > rhs + _INT_TOL:
-                return None
-            if sense == ">=" and lhs < rhs - _INT_TOL:
-                return None
-            if sense == "==" and abs(lhs - rhs) > _INT_TOL:
-                return None
-        return x, float(c @ x)
-
     def _solve_impl(
-        self,
-        *,
-        node_limit: int,
-        time_limit: float | None,
-        warm_start: dict[int, float] | None = None,
+        self, node_limit: int, time_limit: float | None
     ) -> ILPResult:
-        c, A_ub, b_ub, A_eq, b_eq = self._matrices()
-        lb = np.array(self._lb, dtype=float)
-        ub = np.array(self._ub, dtype=float)
-        int_mask = np.array(self._integer, dtype=bool)
-        t0 = time.perf_counter()
-
-        def relax(lo: np.ndarray, hi: np.ndarray):
-            res = linprog(
-                c,
-                A_ub=A_ub,
-                b_ub=b_ub,
-                A_eq=A_eq,
-                b_eq=b_eq,
-                bounds=np.column_stack([lo, hi]),
-                method="highs",
+        c = np.zeros(self.n_vars)
+        for i, v in self._obj.items():
+            c[i] = v
+        constraints = None
+        if self._cons:
+            data: list[float] = []
+            cols: list[int] = []
+            indptr = [0]
+            lo = np.empty(len(self._cons))
+            hi = np.empty(len(self._cons))
+            for r, (coeffs, sense, rhs) in enumerate(self._cons):
+                cols.extend(coeffs)
+                data.extend(coeffs.values())
+                indptr.append(len(cols))
+                lo[r] = -np.inf if sense == "<=" else rhs
+                hi[r] = np.inf if sense == ">=" else rhs
+            A = csr_array(
+                (data, cols, indptr), shape=(len(self._cons), self.n_vars)
             )
-            return res
+            constraints = LinearConstraint(A, lo, hi)
+        int_mask = np.array(self._integer, dtype=bool)
+        # Presolve pays off only with an objective to bound.  On the
+        # mappers' pure feasibility models the root heuristics find a
+        # point at once, and presolve would cost more time and memory
+        # (up to ~30 MB per solve on 4x4 kernels) than the solve.
+        options: dict = {
+            "node_limit": node_limit,
+            "presolve": any(self._obj.values()),
+        }
+        if time_limit is not None:
+            options["time_limit"] = time_limit
 
-        root = relax(lb, ub)
-        if root.status == 2:  # infeasible
-            return ILPResult(ILPStatus.INFEASIBLE, nodes=1)
-        if root.status == 3:  # unbounded
-            return ILPResult(ILPStatus.UNBOUNDED, nodes=1)
+        def run(**extra):
+            return milp(
+                c,
+                integrality=int_mask.astype(int),
+                bounds=Bounds(self._lb, self._ub),
+                constraints=constraints,
+                options={**options, **extra},
+            )
 
-        best_x: np.ndarray | None = None
-        best_obj = np.inf
-        if warm_start is not None:
-            incumbent = self._warm_incumbent(warm_start, c)
-            if incumbent is not None:
-                best_x, best_obj = incumbent
-        nodes = 0
-        # Heap entries: (bound, tiebreak, lo, hi, x_relax)
-        counter = 0
-        heap: list = [(root.fun, counter, lb, ub, root.x)]
-
-        def fractional_var(x: np.ndarray) -> int | None:
-            frac = np.abs(x - np.round(x))
-            frac[~int_mask] = 0.0
-            j = int(np.argmax(frac))
-            return j if frac[j] > _INT_TOL else None
-
-        while heap:
-            nodes += 1
-            if nodes > node_limit:
-                return ILPResult(
-                    ILPStatus.NODE_LIMIT, best_x, _obj_or_none(best_obj),
-                    nodes,
-                )
-            if time_limit is not None and time.perf_counter() - t0 > time_limit:
-                return ILPResult(
-                    ILPStatus.TIME_LIMIT, best_x, _obj_or_none(best_obj),
-                    nodes,
-                )
-            bound, _, lo, hi, x = heapq.heappop(heap)
-            if bound >= best_obj - 1e-9:
-                continue  # pruned
-            j = fractional_var(x)
-            if j is None:
-                # Integral solution.
-                xi = np.where(int_mask, np.round(x), x)
-                obj = float(c @ xi)
-                if obj < best_obj - 1e-9:
-                    best_obj = obj
-                    best_x = xi
-                continue
-            # Branch on floor/ceil of x[j].
-            for lo2, hi2 in _branches(lo, hi, j, x[j]):
-                res = relax(lo2, hi2)
-                if res.status == 0 and res.fun < best_obj - 1e-9:
-                    counter += 1
-                    heapq.heappush(
-                        heap, (res.fun, counter, lo2, hi2, res.x)
-                    )
-
-        if best_x is None:
-            return ILPResult(ILPStatus.INFEASIBLE, nodes=nodes)
-        return ILPResult(ILPStatus.OPTIMAL, best_x, best_obj, nodes)
+        res = run()
+        if res.status == 4 and "unbounded or infeasible" in res.message:
+            res = run(presolve=False)  # presolve cannot tell the two apart
+        if res.status == 0:
+            status = ILPStatus.OPTIMAL
+        elif res.status == 2:
+            status = ILPStatus.INFEASIBLE
+        elif res.status == 3:
+            status = ILPStatus.UNBOUNDED
+        elif "Time limit" in res.message:
+            status = ILPStatus.TIME_LIMIT
+        elif res.status == 1 or "Solution limit" in res.message:
+            # scipy reports HiGHS's node limit as status 4.
+            status = ILPStatus.NODE_LIMIT
+        else:
+            raise RuntimeError(f"HiGHS failed on {self.name}: {res.message}")
+        x = objective = None
+        if res.x is not None:
+            x = np.where(int_mask, np.round(res.x), res.x)
+            objective = float(c @ x)
+        return ILPResult(status, x, objective, res.mip_node_count or 0)
 
     # ------------------------------------------------------------------
     def value(self, result: ILPResult, idx: int) -> float:
@@ -308,22 +219,3 @@ class ILP:
             f" cons={self.n_constraints})"
         )
 
-
-def _branches(lo, hi, j, xj):
-    """Floor and ceil child bounds for branching variable ``j``."""
-    import math
-
-    lo_a, hi_a = lo.copy(), hi.copy()
-    hi_a[j] = math.floor(xj)
-    lo_b, hi_b = lo.copy(), hi.copy()
-    lo_b[j] = math.ceil(xj)
-    out = []
-    if lo_a[j] <= hi_a[j]:
-        out.append((lo_a, hi_a))
-    if lo_b[j] <= hi_b[j]:
-        out.append((lo_b, hi_b))
-    return out
-
-
-def _obj_or_none(obj: float):
-    return None if obj == np.inf else obj

@@ -199,6 +199,20 @@ def test_put_declines_a_mismatched_graph(cgra):
     assert cache.get(key, other, cgra) is None
 
 
+@pytest.mark.parametrize("mapper", ["ilp", "ilp_spatial"])
+def test_ilp_mappers_key_names_the_solver(cgra, mapper):
+    """The solver engine is part of the key, so entries written by a
+    build with a different ILP engine miss instead of aliasing."""
+    dfg = kernels.kernel("dot_product")
+    with mapping_cache() as cache:
+        map_dfg(dfg, cgra, mapper=mapper)
+        keyed = cache.key(dfg, cgra, mapper=mapper, token="solver=highs-milp")
+        bare = cache.key(dfg, cgra, mapper=mapper)
+        assert keyed != bare
+        assert cache.get(keyed, dfg, cgra) is not None
+        assert cache.get(bare, dfg, cgra) is None
+
+
 # ---------------------------------------------------------------------------
 # Harness integration: run_matrix, explore, portfolio
 # ---------------------------------------------------------------------------

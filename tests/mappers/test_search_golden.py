@@ -65,7 +65,7 @@ GOLDEN = {
         "himap: hierarchical search exhausted on simple4x4", 2,
     ),
     "ilp": (
-        "69ca222c53ce38cf",
+        "a72271a41234c8e4",
         "ilp: ILP proved the windowed model infeasible on simple4x4", 2,
     ),
     "list_sched": (

@@ -1,4 +1,6 @@
-"""ILP solver tests, cross-checked against scipy.optimize.milp."""
+"""ILP solver tests, cross-checked against brute-force enumeration."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -96,62 +98,99 @@ def test_node_limit_reported():
     assert res.status in (ILPStatus.NODE_LIMIT, ILPStatus.OPTIMAL)
 
 
+def test_limit_status_is_a_limit_with_feasible_incumbent():
+    """HiGHS stopping at a limit maps to NODE_LIMIT/TIME_LIMIT, and any
+    point it returns is integral and satisfies every row."""
+    rng = np.random.default_rng(14)
+    n = 40
+    w = rng.integers(1000, 2000, n)
+    v = w + 100 + rng.integers(0, 5, n)
+    cap, floor = w.sum() // 2, w[:20].sum() // 3
+    ilp = ILP("knapsack40")
+    xs = [ilp.add_var() for _ in range(n)]
+    ilp.add_constraint({x: float(wi) for x, wi in zip(xs, w)}, "<=", cap)
+    ilp.add_constraint(
+        {x: float(wi) for x, wi in zip(xs[:20], w[:20])}, ">=", floor
+    )
+    ilp.set_objective({x: -float(vi) for x, vi in zip(xs, v)})
+    node_limited = ilp.solve(node_limit=1)
+    assert node_limited.status is ILPStatus.NODE_LIMIT
+    assert node_limited.ok  # the root heuristics found an incumbent
+    timed_out = ilp.solve(time_limit=0.0)
+    assert timed_out.status is ILPStatus.TIME_LIMIT
+    for res in (node_limited, timed_out):
+        if res.x is None:
+            continue
+        x = res.x
+        assert set(np.unique(x)) <= {0.0, 1.0}
+        assert w @ x <= cap and w[:20] @ x[:20] >= floor
+        assert res.objective == pytest.approx(-(v @ x))
+
+
+def test_unbounded():
+    ilp = ILP()
+    a = ilp.add_var(ub=np.inf)
+    b = ilp.add_var(ub=np.inf)
+    ilp.add_constraint({a: 1, b: -1}, "<=", 0)
+    ilp.set_objective({a: -1.0})
+    res = ilp.solve()
+    assert res.status is ILPStatus.UNBOUNDED
+    assert not res.ok
+
+
+def _feasible(x, rows):
+    return all(
+        (a @ x <= b) if sense == "<="
+        else (a @ x >= b) if sense == ">=" else (a @ x == b)
+        for a, sense, b in rows
+    )
+
+
+def _brute_force(c, rows, ubs):
+    """Best objective over every integer point in the box, or None."""
+    best = None
+    for x in itertools.product(*(range(u + 1) for u in ubs)):
+        x = np.array(x)
+        if _feasible(x, rows):
+            obj = float(c @ x)
+            best = obj if best is None else min(best, obj)
+    return best
+
+
 @given(st.integers(0, 500))
 @settings(max_examples=25, deadline=None)
-def test_random_knapsack_matches_scipy_milp(seed):
+def test_random_model_matches_brute_force(seed):
+    """Mixed <=/>=/== rows and one general-integer variable."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 8))
-    w = rng.integers(1, 10, n)
-    v = rng.integers(1, 20, n).astype(float)
-    cap = int(rng.integers(5, 25))
+    n = int(rng.integers(2, 7))
+    ubs = [1] * (n - 1) + [int(rng.integers(2, 4))]
+    c = rng.integers(-9, 10, n).astype(float)
+    rows = []
+    for _ in range(int(rng.integers(1, 4))):
+        a = rng.integers(-4, 6, n)
+        a[rng.random(n) < 0.3] = 0
+        if not a.any():
+            a[0] = 1
+        sense = ("<=", ">=", "==")[int(rng.integers(3))]
+        x0 = np.array([rng.integers(u + 1) for u in ubs])
+        # Rows pass through a random point half the time, so feasible
+        # and infeasible instances both occur.
+        b = int(a @ x0) + (int(rng.integers(-2, 3)) if rng.random() < 0.5 else 0)
+        rows.append((a, sense, b))
 
     ilp = ILP()
-    xs = [ilp.add_var() for _ in range(n)]
-    ilp.add_constraint({xs[i]: float(w[i]) for i in range(n)}, "<=", cap)
-    ilp.set_objective({xs[i]: -v[i] for i in range(n)})
-    ours = ilp.solve()
+    xs = [ilp.add_var(ub=u) for u in ubs]
+    for a, sense, b in rows:
+        coeffs = {xs[i]: float(a[i]) for i in range(n) if a[i]}
+        ilp.add_constraint(coeffs, sense, float(b))
+    ilp.set_objective({xs[i]: c[i] for i in range(n)})
+    res = ilp.solve()
 
-    from scipy.optimize import LinearConstraint, milp
-
-    ref = milp(
-        c=-v,
-        constraints=[LinearConstraint(w.reshape(1, -1), ub=[cap])],
-        integrality=np.ones(n),
-        bounds=__import__("scipy.optimize", fromlist=["Bounds"]).Bounds(0, 1),
-    )
-    assert ours.status is ILPStatus.OPTIMAL
-    assert ours.objective == pytest.approx(ref.fun, abs=1e-6)
-
-
-def test_warm_start_feasible_becomes_incumbent():
-    """A valid MIP start on a feasibility model ends the search at once."""
-    n = 10
-    ilp = ILP()
-    xs = [ilp.add_var() for _ in range(n)]
-    for i in range(0, n, 2):
-        ilp.add_constraint({xs[i]: 1.0, xs[i + 1]: 1.0}, "==", 1.0)
-    start = {xs[i]: float(i % 2 == 0) for i in range(n)}
-    res = ilp.solve(warm_start=start)
-    assert res.status is ILPStatus.OPTIMAL
-    assert all(res.x[xs[i]] + res.x[xs[i + 1]] == 1.0 for i in range(0, n, 2))
-
-
-def test_warm_start_infeasible_is_ignored():
-    ilp = ILP()
-    a, b = ilp.add_var(), ilp.add_var()
-    ilp.add_constraint({a: 1.0, b: 1.0}, "==", 1.0)
-    res = ilp.solve(warm_start={a: 1.0, b: 1.0})  # violates the equality
-    assert res.ok
-    assert res.x[a] + res.x[b] == 1.0
-
-
-def test_warm_start_never_worse_than_optimal():
-    """A suboptimal start must still yield the true optimum."""
-    ilp = ILP()
-    xs = [ilp.add_var() for _ in range(3)]
-    ilp.add_constraint({x: 1.0 for x in xs}, "==", 1.0)
-    ilp.set_objective({xs[0]: 3.0, xs[1]: 1.0, xs[2]: 2.0})
-    res = ilp.solve(warm_start={xs[0]: 1.0, xs[1]: 0.0, xs[2]: 0.0})
-    assert res.status is ILPStatus.OPTIMAL
-    assert res.objective == pytest.approx(1.0)
-    assert res.x[xs[1]] == 1.0
+    best = _brute_force(c, rows, ubs)
+    if best is None:
+        assert res.status is ILPStatus.INFEASIBLE
+        assert not res.ok
+    else:
+        assert res.status is ILPStatus.OPTIMAL
+        assert res.objective == pytest.approx(best, abs=1e-6)
+        assert _feasible(res.x, rows)

@@ -4,16 +4,18 @@ Measures the fast-path layers against their reference implementations
 and writes ``BENCH_hotpath.json`` plus ``BENCH_solver.json``:
 
 * **occupancy** — the flat-array :class:`repro.core.resources.Occupancy`
-  vs the dict/Counter :class:`repro.core.refimpl.DictOccupancy` on an
-  identical can/add/release/copy workload (ops/second each, ratio);
+  vs the dict/Counter ``DictOccupancy`` reference (``tests/oracles``)
+  on an identical can/add/release/copy workload (ops/second each,
+  ratio);
 * **router** — the distance-pruned/A* :class:`Router` vs the exhaustive
-  :class:`ReferenceRouter` on an identical batch of route queries
-  (routes/second, explored-candidate counts, ratio);
+  ``ReferenceRouter`` (``tests/oracles``) on an identical batch of
+  route queries (routes/second, explored-candidate counts, ratio);
 * **matrix** — ``run_matrix`` wall-clock serial vs ``--jobs N``
   (speedup is bounded by the machine's core count, which is recorded);
-* **solver** — the exact-method family: the CDCL SAT engine vs the
-  retained DPLL reference driving :class:`SATMapper` on kernels and a
-  mid-size random DFG (wall + decisions), plus the CSP value hints
+* **solver** — the exact-method family: the incremental CDCL
+  :class:`SATMapper` vs its fresh-encode DPLL reference
+  (``DPLLSATMapper``, ``tests/oracles``) on kernels and a mid-size
+  random DFG (wall + decisions), plus the CSP value hints
   re-solving an II with the prior assignment as the hint;
 * **cache** — the content-addressed mapping cache (``BENCH_cache.json``):
   a repeated DSE sweep and a repeated compare matrix, cold (empty
@@ -38,11 +40,17 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.append(str(_ROOT / "tests"))  # the reference engines
 
+from oracles import (  # noqa: E402
+    DictOccupancy,
+    DPLLSATMapper,
+    ReferenceRouter,
+)
 from repro.arch import presets  # noqa: E402
 from repro.bench.harness import run_matrix  # noqa: E402
-from repro.core.refimpl import DictOccupancy, ReferenceRouter  # noqa: E402
 from repro.core.resources import Occupancy  # noqa: E402
 from repro.ir import kernels, randdfg  # noqa: E402
 from repro.mappers.csp_mapper import CSPMapper  # noqa: E402
@@ -336,11 +344,11 @@ def bench_cache(smoke: bool) -> dict:
     return {"dse": dse, "matrix": matrix}
 
 
-def _sat_run(dfg, cgra, engine: str, ii: int | None) -> dict:
-    """One SATMapper run: best II, wall seconds, SAT decisions."""
+def _sat_run(dfg, cgra, mapper_cls, ii: int | None) -> dict:
+    """One SAT mapper run: best II, wall seconds, SAT decisions."""
     with tracing() as tr:
         t0 = time.perf_counter()
-        mapping = SATMapper(engine=engine).map(dfg, cgra, ii=ii)
+        mapping = mapper_cls().map(dfg, cgra, ii=ii)
         elapsed = time.perf_counter() - t0
     decisions = sum(s.total(SOLVER_DECISIONS) for s in tr.roots)
     return {
@@ -382,8 +390,8 @@ def bench_solver(smoke: bool) -> dict:
 
     sat_rows = []
     for name, dfg, ii in workloads:
-        cdcl = _sat_run(dfg, cgra, "cdcl", ii)
-        dpll = _sat_run(dfg, cgra, "dpll", ii)
+        cdcl = _sat_run(dfg, cgra, SATMapper, ii)
+        dpll = _sat_run(dfg, cgra, DPLLSATMapper, ii)
         assert cdcl["ii"] == dpll["ii"], f"engines disagree on {name}"
         sat_rows.append(
             {

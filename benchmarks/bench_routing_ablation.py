@@ -8,19 +8,27 @@ greedy is cheaper.
 
 Runnable as a script too: ``python bench_routing_ablation.py
 --engine flat|scalar|both`` runs the same cells through the chosen
-search engine (``flat`` = the array core in
-:mod:`repro.mappers.routecore`, ``scalar`` = the original dict/heapq
-reference; see DESIGN.md §13) so the disciplines can be compared on
-either implementation, or both side by side.
+search engine (``flat`` = the production :class:`Router` on the array
+core in :mod:`repro.mappers.routecore`, ``scalar`` = the dict/heapq
+``ReferenceRouter`` from ``tests/oracles``; see DESIGN.md §13) so the
+disciplines can be compared on either implementation, or both side by
+side.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 from repro.arch import presets
 from repro.bench import ascii_table
 from repro.core.resources import Occupancy
 from repro.mappers.routing import RouteRequest, Router
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import ReferenceRouter  # noqa: E402
+
+ROUTERS = {"flat": Router, "scalar": ReferenceRouter}
 
 
 def _congested_instance(cgra):
@@ -41,7 +49,7 @@ def _congested_instance(cgra):
 def _run(router_kind: str, engine: str = "flat"):
     cgra = presets.simple_cgra(3, 3)
     occ, reqs = _congested_instance(cgra)
-    router = Router(cgra, engine=engine)
+    router = ROUTERS[engine](cgra)
     routed = 0
     total_len = 0
     t0 = time.perf_counter()

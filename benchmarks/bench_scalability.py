@@ -185,9 +185,14 @@ def _serpentine_binding(dfg, cgra, displace_every: int) -> dict:
     return binding
 
 
-def _time_route(dfg, cgra, binding, engine, incremental, budget_s=1.5):
-    """(best-of wall-clock seconds, converged?) for one engine."""
-    from repro.mappers.spatial_common import route_negotiated
+def _time_route(dfg, cgra, binding, negotiate, budget_s=1.5):
+    """(best-of wall-clock seconds, converged?) for one negotiator.
+
+    ``negotiate(cgra, binding, nets)`` gets the same longest-first net
+    list :func:`route_negotiated` builds, computed inside the timed
+    region as ``route_negotiated`` computes it.
+    """
+    from repro.mappers.spatial_common import negotiation_nets
 
     best = float("inf")
     ok = False
@@ -195,8 +200,8 @@ def _time_route(dfg, cgra, binding, engine, incremental, budget_s=1.5):
     reps = 0
     while reps < 3 or time.perf_counter() - t_start < budget_s:
         t0 = time.perf_counter()
-        routes = route_negotiated(
-            dfg, cgra, binding, engine=engine, incremental=incremental
+        routes = negotiate(
+            cgra, binding, negotiation_nets(dfg, cgra, binding)
         )
         best = min(best, time.perf_counter() - t0)
         ok = routes is not None
@@ -207,22 +212,35 @@ def _time_route(dfg, cgra, binding, engine, incremental, budget_s=1.5):
 
 
 def route_sweep() -> dict:
-    """Flat-vs-scalar negotiated routing; the ``route`` report block."""
+    """Flat-vs-scalar negotiated routing; the ``route`` report block.
+
+    ``scalar`` is the dict/heapq reference negotiator from
+    ``tests/oracles``; ``flat_full``/``flat_inc`` are
+    :func:`repro.mappers.routecore.negotiate_spatial` on the full and
+    the incremental (production) rip-up schedule.
+    """
+    from functools import partial
+
+    from repro.mappers.routecore import negotiate_spatial
+
+    sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+    from oracles import negotiate_reference
+
     cgra = presets.by_name(ROUTE_ARCH)
     dfg = kernels.kernel(ROUTE_KERNEL)
     engines = (
-        ("scalar", "scalar", False),
-        ("flat_full", "flat", False),
-        ("flat_inc", "flat", True),
+        ("scalar", negotiate_reference),
+        ("flat_full", partial(negotiate_spatial, incremental=False)),
+        ("flat_inc", negotiate_spatial),
     )
     rows = []
-    totals = {label: 0.0 for label, _, _ in engines}
+    totals = {label: 0.0 for label, _ in engines}
     success_equal = True
     for k in ROUTE_DISPLACEMENTS:
         binding = _serpentine_binding(dfg, cgra, k)
         times, oks = {}, {}
-        for label, engine, inc in engines:
-            t, ok = _time_route(dfg, cgra, binding, engine, inc)
+        for label, negotiate in engines:
+            t, ok = _time_route(dfg, cgra, binding, negotiate)
             times[label], oks[label] = t, ok
             totals[label] += t
         success_equal = success_equal and (

@@ -41,9 +41,9 @@ axis is exactly ``ii`` entries; without it the axis grows on demand
 The slot-major layout is deliberate: growing the time axis appends,
 so indices computed before a growth stay correct.
 
-A reference ``dict``-keyed implementation with identical semantics is
-kept in :mod:`repro.core.refimpl` for the equivalence suite and the
-hot-path microbenchmark.
+A reference ``dict``-keyed implementation with identical semantics
+(``DictOccupancy``) is kept in ``tests/oracles`` for the equivalence
+suite and the hot-path microbenchmark.
 """
 
 from __future__ import annotations

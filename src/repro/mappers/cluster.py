@@ -192,7 +192,6 @@ class ClusteredSpatialMapper(Mapper):
         moves_per_temp: int | None = None,
         restarts: int = 3,
         repair_rounds: int = 4,
-        route_engine: str = "flat",
     ) -> None:
         super().__init__(seed)
         self.region = region
@@ -203,17 +202,13 @@ class ClusteredSpatialMapper(Mapper):
         self.moves_per_temp = moves_per_temp
         self.restarts = restarts
         self.repair_rounds = repair_rounds
-        self.route_engine = route_engine
 
     def cache_token(self) -> str:
-        # route_engine is present: the flat engine's incremental
-        # rip-up may settle on different (equally legal) routes than
-        # the scalar full re-route.
         return (
             f"region={self.region};batch={self.batch};"
             f"t={self.t_start}:{self.t_end}:{self.cooling};"
             f"moves={self.moves_per_temp};restarts={self.restarts};"
-            f"repair={self.repair_rounds};route={self.route_engine}"
+            f"repair={self.repair_rounds}"
         )
 
     # -- phase 2: global seed ------------------------------------------
@@ -479,9 +474,7 @@ class ClusteredSpatialMapper(Mapper):
                 # artifact more often than to the placement: negotiate
                 # before blaming (and re-annealing) the placement.
                 tracer.count(ROUTING_ATTEMPTS)
-                negotiated = route_negotiated(
-                    dfg, cgra, binding, engine=self.route_engine
-                )
+                negotiated = route_negotiated(dfg, cgra, binding)
                 if negotiated is not None:
                     return binding, negotiated, []
             return binding, routes, failed

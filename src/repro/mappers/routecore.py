@@ -2,10 +2,12 @@
 
 Routing is the load-bearing half of spatial mapping — "use an existing
 link without interfering with already existing communications" (§II-B)
-— and at 32x32+ fabric sizes the dict-of-tuples + heapq searches in
-:mod:`repro.mappers.routing` and :func:`repro.mappers.spatial_common
-.route_negotiated` dominate the mapping wall-clock.  This module is
-the shared fast core both hot paths run on:
+— and at 32x32+ fabric sizes dict-of-tuples + heapq route searches
+dominate the mapping wall-clock.  This module is the one engine both
+hot paths, :mod:`repro.mappers.routing` and :func:`repro.mappers
+.spatial_common.route_negotiated`, run on; their plain dict/heapq
+forms live in ``tests/oracles`` as the references the equivalence
+suite compares against:
 
 * :class:`FlatGraph` — one per *topology*: CSR adjacency (out/in
   neighbour lists as flat index arrays), the dense link id of every
@@ -32,12 +34,12 @@ the shared fast core both hot paths run on:
   now share this class.  It maintains the *overused* cell set
   incrementally, which is what makes incremental rip-up cheap.
 
-* :func:`negotiate_spatial` — the flat engine behind
+* :func:`negotiate_spatial` — the engine behind
   :func:`repro.mappers.spatial_common.route_negotiated`.  With
-  ``incremental=False`` it replays the scalar reference byte for byte
-  (same Dijkstra pop order, same paths, same convergence trace — the
-  equivalence suite holds it to that).  With ``incremental=True``
-  (the default via ``route_negotiated(engine="flat")``), iterations
+  ``incremental=False`` it replays the reference negotiator byte for
+  byte (same Dijkstra pop order, same paths, same convergence trace —
+  the equivalence suite holds it to that).  With ``incremental=True``
+  (the default, and what ``route_negotiated`` runs), iterations
   after the first rip up and re-route *only* the nets whose current
   paths cross an overused cell, instead of every edge every round.
   The rip-up invariant: congestion can only be *caused* by a path
@@ -49,8 +51,8 @@ the shared fast core both hot paths run on:
   legality of the result) may differ from the full re-route; DESIGN.md
   §13 documents the trade.
 
-* :class:`FlatTemporalEngine` — flat-array searches behind
-  :class:`repro.mappers.routing.Router`'s ``engine="flat"``: the
+* :class:`FlatTemporalEngine` — the searches behind
+  :class:`repro.mappers.routing.Router`: the distance-pruned
   layered BFS of :meth:`~repro.mappers.routing.Router.find` over
   generation-stamped state arrays, and the A* of
   :meth:`~repro.mappers.routing.Router.find_negotiated` with states
@@ -59,9 +61,9 @@ the shared fast core both hot paths run on:
   reallocated), driven by a :class:`DialQueue` when the cost regime is
   integral and falling back to ``heapq`` (still over flat arrays)
   when a caller passes fractional penalties.  State indices are
-  monotone in the scalar ``(cell, kind, layer)`` tuple order
+  monotone in the reference ``(cell, kind, layer)`` tuple order
   (``"hold" < "route"``), so tie-breaking — and therefore every path
-  — is byte-identical to the scalar searches.
+  — is byte-identical to the reference searches.
 """
 
 from __future__ import annotations
@@ -81,11 +83,14 @@ __all__ = [
     "DialQueue",
     "FlatGraph",
     "FlatTemporalEngine",
+    "NEGOTIATION_ITERS",
     "flat_graph",
     "negotiate_spatial",
 ]
 
-_INF = 10**9
+#: PathFinder rip-up-and-reroute iterations before a spatial
+#: negotiation gives up.
+NEGOTIATION_ITERS = 16
 
 #: FlatGraphs shared across equal arrays, keyed by arch fingerprint —
 #: the same discipline (and bound) as the distance-table LRU in
@@ -368,24 +373,24 @@ def negotiate_spatial(
     binding: dict[int, int],
     edges: "list[Edge]",
     *,
-    max_iters: int = 16,
     incremental: bool = True,
 ) -> "dict[Edge, list[Step]] | None":
     """Flat PathFinder negotiation over a spatial binding.
 
     ``edges`` must be the already-filtered, already-sorted route list
-    (non-pseudo, non-adjacent, longest first) — the caller computes it
-    once so both engines negotiate the identical net list.  Costs are
-    integers throughout (unit base + integral history + integral
-    pressure) and every step costs at least 1, so the Dijkstra runs on
-    inlined Dial buckets: a bucket never receives entries once the
-    drain cursor reaches it, so sorting each bucket at drain time by
-    ``(cell, prev)`` reproduces the exact pop order of the scalar
-    reference's ``(cost, cell, prev)`` heap at a fraction of the
-    per-push cost.  With ``incremental=False`` every iteration
-    re-routes every edge (the scalar schedule, byte-identical output);
-    with ``incremental=True`` iterations after the first re-route only
-    nets crossing an overused cell.
+    (non-pseudo, non-adjacent, longest first) that
+    :func:`repro.mappers.spatial_common.negotiation_nets` builds, so
+    this engine and the reference negotiator negotiate the identical
+    net list.  Costs are integers throughout (unit base + integral
+    history + integral pressure) and every step costs at least 1, so
+    the Dijkstra runs on inlined Dial buckets: a bucket never receives
+    entries once the drain cursor reaches it, so sorting each bucket
+    at drain time by ``(cell, prev)`` reproduces the exact pop order
+    of the reference's ``(cost, cell, prev)`` heap at a fraction of
+    the per-push cost.  With ``incremental=False`` every iteration
+    re-routes every edge (the reference schedule, byte-identical
+    output); with ``incremental=True`` iterations after the first
+    re-route only nets crossing an overused cell.
     """
     if not edges:
         return {}
@@ -405,7 +410,7 @@ def negotiate_spatial(
     paths: list[list[int] | None] = [None] * n_edges
     # Generation-stamped Dijkstra scratch, allocated once per call and
     # reused across every search (one negotiation runs up to
-    # ``edges * max_iters`` of them).
+    # ``edges * NEGOTIATION_ITERS`` of them).
     gen = 0
 
     def dijkstra(
@@ -491,7 +496,7 @@ def negotiate_spatial(
         return None
 
     skipped = False
-    for it in range(max_iters):
+    for it in range(NEGOTIATION_ITERS):
         pressure = 1 + 2 * it
         if incremental and it:
             over = claims.overused
@@ -520,14 +525,12 @@ def negotiate_spatial(
     if skipped:
         # The dirty-set schedule can stall where the full sweep
         # converges (clean nets keep stale detours a full rip-up would
-        # reconsider).  One full-schedule retry keeps the flat
-        # engine's success a superset of the scalar reference; it only
+        # reconsider).  One full-schedule retry keeps the incremental
+        # schedule's success a superset of the full one's; it only
         # costs on the (rare) genuine stalls — if no iteration ever
         # skipped an edge, the run *was* the full schedule and the
         # retry would just repeat it.
-        return negotiate_spatial(
-            cgra, binding, edges, max_iters=max_iters, incremental=False
-        )
+        return negotiate_spatial(cgra, binding, edges, incremental=False)
     return None
 
 
@@ -536,13 +539,12 @@ _KIND = (HOLD, ROUTE)  # kind bit 0/1, matching "hold" < "route"
 
 
 class FlatTemporalEngine:
-    """Flat-array searches behind ``Router(engine="flat")``.
+    """Flat-array searches behind :class:`~repro.mappers.routing.Router`.
 
     One engine per Router; scratch arrays are sized to the largest
     span seen and reset by generation stamp.  Every method returns
-    ``(result, explored)`` — the Router wrapper owns tracer counting
-    and the span<=0 short-circuits, which are shared with the scalar
-    engine.
+    ``(result, explored)`` — the Router wrapper owns tracer counting,
+    the span<=0 short-circuits and the whole-request distance cut.
     """
 
     __slots__ = ("fg", "allow_hold", "_vis", "_par", "_dist", "_cap", "_gen")
@@ -566,15 +568,19 @@ class FlatTemporalEngine:
             self._cap = need
 
     # -- greedy layered BFS (Router.find) ------------------------------
-    def find(self, occ, req, *, prune: bool):
-        """Feasible step chain + explored count, mirroring the scalar
-        layer-BFS state for state (the equivalence suite asserts both
-        the chain and the count)."""
+    def find(self, occ, req):
+        """Feasible step chain + explored count.
+
+        The reference layer-BFS with distance pruning: the same chain
+        as the unpruned reference (the equivalence suite asserts it),
+        from no more explored states than the reference (the pinned
+        count test in ``tests/mappers/test_routecore.py`` holds the
+        totals)."""
         fg = self.fg
         span = req.t_consume - req.t_emit - 1
         dst = req.dst_cell
         value = req.value
-        dist_to = fg.dist_to(dst) if prune else None
+        dist_to = fg.dist_to(dst)
         allow_hold = self.allow_hold
         reach_ptr, reach, reach_link = fg.reach_ptr, fg.reach, fg.reach_link
         rf_size = fg.rf_size
@@ -603,13 +609,13 @@ class FlatTemporalEngine:
                 cell = st >> 1
                 # Holds first: parking in the RF is cheaper than
                 # burning an FU/bypass slot, and BFS keeps the first
-                # path found among equals (scalar expansion order).
+                # path found among equals (reference expansion order).
                 if allow_hold and (
                     rf_size[cell] > 0
                     if base < 0
                     else occ.can_hold_i(value, cell, base + cell)
                 ):
-                    if dist_to is None or dist_to[cell] <= allowed:
+                    if dist_to[cell] <= allowed:
                         explored += 1
                         code = cell * 2
                         i = off + code
@@ -631,7 +637,7 @@ class FlatTemporalEngine:
                         continue
                     if not (base < 0 or occ.can_route_i(value, base + c2)):
                         continue
-                    if dist_to is not None and dist_to[c2] > allowed:
+                    if dist_to[c2] > allowed:
                         continue
                     explored += 1
                     code = c2 * 2 + 1
@@ -677,18 +683,16 @@ class FlatTemporalEngine:
         return out
 
     # -- negotiated A* (Router.find_negotiated) ------------------------
-    def find_negotiated(
-        self, occ, req, *, prune: bool, history: dict, penalty: float
-    ):
-        """(steps, cost) + explored, mirroring the scalar A* pop for
-        pop: states ``(cell, kind, layer)`` become flat indices that
-        are monotone in the scalar tuple order, so heap/Dial ties
-        resolve identically."""
+    def find_negotiated(self, occ, req, *, history: dict, penalty: float):
+        """(steps, cost) + explored: distance-cut A* whose states
+        ``(cell, kind, layer)`` become flat indices monotone in the
+        reference tuple order, so heap/Dial ties resolve as the
+        reference Dijkstra's do."""
         fg = self.fg
         span = req.t_consume - req.t_emit - 1
         dst = req.dst_cell
         value = req.value
-        dist_to = fg.dist_to(dst) if prune else None
+        dist_to = fg.dist_to(dst)
         reach_ptr, reach = fg.reach_ptr, fg.reach
         rf_size = fg.rf_size
         intod = fg.links_into(dst)
@@ -764,7 +768,7 @@ class FlatTemporalEngine:
             cut = span - layer
             for ri in range(reach_ptr[cell], reach_ptr[cell + 1]):
                 c2 = reach[ri]
-                if dist_to is not None and dist_to[c2] > cut:
+                if dist_to[c2] > cut:
                     continue
                 cost = (
                     1.0 + history.get((c2, slot, ROUTE), 0.0)
@@ -783,7 +787,7 @@ class FlatTemporalEngine:
                         queue.push(int(nd) + h, (nd, nidx))
                     else:
                         heapq.heappush(heap, (nd + h, nd, nidx))
-            if dist_to is None or dist_to[cell] <= cut:
+            if dist_to[cell] <= cut:
                 cost = (
                     1.0 + history.get((cell, slot, HOLD), 0.0)
                     if history

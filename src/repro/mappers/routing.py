@@ -30,21 +30,23 @@ terminal, and every state reachable *from* a violating state violates
 the (one-weaker) bound of its own layer, so dropping them is exact:
 the surviving search explores the same states in the same order and
 returns byte-identical paths (the equivalence suite asserts this
-against ``prune=False``).  In :meth:`Router.find_negotiated` the same
-admissible reasoning gives the A* heuristic: every one of the
-``span - layer`` remaining layers costs at least 1, and the distance
-table supplies the reachability cut (an infinite heuristic).  Ordering
-the heap by ``(f, g, state)`` keeps tie-breaking identical to the
-plain Dijkstra it replaces.
+against the unpruned ``ReferenceRouter`` in ``tests/oracles``).  In
+:meth:`Router.find_negotiated` the same admissible reasoning gives the
+A* heuristic: every one of the ``span - layer`` remaining layers costs
+at least 1, and the distance table supplies the reachability cut (an
+infinite heuristic).  Ordering the heap by ``(f, g, state)`` keeps
+tie-breaking identical to plain Dijkstra.
 
-The number of states actually explored is recorded on the active
-trace span under ``candidates_explored``, so ``--profile`` shows the
-pruning win directly.
+Both searches run on the flat-array core
+(:class:`repro.mappers.routecore.FlatTemporalEngine`: CSR adjacency,
+Dial bucket queue, generation-stamped state arrays).  The number of
+states actually explored is recorded on the active trace span under
+``candidates_explored``, so ``--profile`` shows the pruning win
+directly.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from repro.arch.cgra import CGRA
@@ -54,8 +56,6 @@ from repro.mappers.routecore import FlatTemporalEngine, flat_graph
 from repro.obs.tracer import CANDIDATES_EXPLORED, get_tracer
 
 __all__ = ["Router", "RouteRequest", "commit_route", "release_route"]
-
-_INF = 10**9
 
 
 @dataclass(frozen=True)
@@ -80,42 +80,14 @@ class Router:
     Args:
         cgra: the target array.
         allow_hold: permit RF-hold steps (cheaper than re-emission).
-        max_hold: legacy bound on consecutive holds (kept for
-            signature compatibility).
-        prune: admissible distance pruning (semantics-preserving; the
-            switch exists so the equivalence suite and the ablation
-            benchmark can run the exhaustive search).
-        engine: ``"flat"`` runs both searches on the flat-array core
-            (:mod:`repro.mappers.routecore`: CSR adjacency, Dial
-            bucket queue, generation-stamped state arrays) — byte
-            identical to ``"scalar"``, the dict + heapq bodies below,
-            which remain the executable reference (the PR 2/PR 8
-            ``prune=``/``engine=`` precedent).  The flat engine needs
-            the flat-index occupancy fast path and steps aside
-            automatically for occupancies without it (the dict-keyed
-            reference implementation).
     """
 
-    def __init__(
-        self,
-        cgra: CGRA,
-        *,
-        allow_hold: bool = True,
-        max_hold: int = 64,
-        prune: bool = True,
-        engine: str = "flat",
-    ) -> None:
+    def __init__(self, cgra: CGRA, *, allow_hold: bool = True) -> None:
         self.cgra = cgra
         self.allow_hold = allow_hold
-        self.max_hold = max_hold
-        self.prune = prune
-        self.engine = engine
-        self._reach = cgra.reach_lists()
         self._dist = cgra.distance_table()
-        self._flat = (
-            FlatTemporalEngine(flat_graph(cgra), allow_hold=allow_hold)
-            if engine == "flat"
-            else None
+        self._flat = FlatTemporalEngine(
+            flat_graph(cgra), allow_hold=allow_hold
         )
 
     # ------------------------------------------------------------------
@@ -135,64 +107,11 @@ class Router:
             if self._final_ok(occ, req, Step(req.src_cell, req.t_emit, ROUTE)):
                 return []
             return None
-        dst = req.dst_cell
-        dist_to = self._dist if self.prune else None
-        if dist_to is not None and dist_to[req.src_cell][dst] > span + 1:
+        if self._dist[req.src_cell][req.dst_cell] > span + 1:
             return None  # unreachable within the time budget
-        if self._flat is not None and hasattr(occ, "time_base"):
-            steps, explored = self._flat.find(occ, req, prune=self.prune)
-            get_tracer().count(CANDIDATES_EXPLORED, explored)
-            return steps
-        # BFS over time layers; states are (cell, kind-of-last-step).
-        start = (req.src_cell, ROUTE)
-        frontier: dict[tuple[int, str], list[Step]] = {start: []}
-        explored = 0
-        for k in range(span):
-            t = req.t_emit + 1 + k
-            last = k == span - 1
-            # After the step of this layer, span-1-k layers remain plus
-            # the terminal-read hop: admissible bound span - k.
-            allowed = span - k
-            nxt: dict[tuple[int, str], list[Step]] = {}
-            for (cell, kind), path in frontier.items():
-                for step in self._expansions(occ, req.value, cell, kind, t):
-                    if (
-                        dist_to is not None
-                        and dist_to[step.cell][dst] > allowed
-                    ):
-                        continue
-                    explored += 1
-                    key = (step.cell, step.kind)
-                    if key in nxt:
-                        continue
-                    cand = path + [step]
-                    if last:
-                        if self._final_ok(occ, req, step):
-                            get_tracer().count(CANDIDATES_EXPLORED, explored)
-                            return cand
-                    nxt[key] = cand
-            if not nxt:
-                get_tracer().count(CANDIDATES_EXPLORED, explored)
-                return None
-            frontier = nxt
+        steps, explored = self._flat.find(occ, req)
         get_tracer().count(CANDIDATES_EXPLORED, explored)
-        return None
-
-    def _expansions(self, occ, value, cell, kind, t):
-        """Feasible single steps leaving state (cell, kind) at cycle t.
-
-        Holds come first: parking in the RF is cheaper than burning an
-        FU/bypass slot on a same-cell re-emission, and BFS keeps the
-        first path found among equals.
-        """
-        if self.allow_hold and occ.can_hold(value, cell, t):
-            yield Step(cell, t, HOLD)
-        # Re-emission to self or neighbours.
-        for nxt in self._reach[cell]:
-            if nxt != cell and not occ.can_use_link(value, cell, nxt, t):
-                continue
-            if occ.can_route(value, nxt, t):
-                yield Step(nxt, t, ROUTE)
+        return steps
 
     def _final_ok(self, occ, req: RouteRequest, last: Step) -> bool:
         """Can the consumer read the value after ``last``?"""
@@ -224,19 +143,6 @@ class Router:
         span = req.t_consume - req.t_emit - 1
         if span < 0:
             return None
-        history = history or {}
-        dst = req.dst_cell
-
-        def step_cost(step: Step) -> float:
-            key = (step.cell, occ.slot(step.time), step.kind)
-            base = 1.0 + history.get(key, 0.0)
-            free = (
-                occ.can_hold(req.value, step.cell, step.time)
-                if step.kind == HOLD
-                else occ.can_route(req.value, step.cell, step.time)
-            )
-            return base if free else base + penalty
-
         if span == 0:
             # Direct read of the emission — same terminal discipline as
             # :meth:`find`: the terminal link must exist *and* be free
@@ -245,74 +151,13 @@ class Router:
             if self._final_ok(occ, req, Step(req.src_cell, req.t_emit, ROUTE)):
                 return [], 0.0
             return None
-
-        dist_to = self._dist if self.prune else None
-        if dist_to is not None and dist_to[req.src_cell][dst] > span + 1:
+        if self._dist[req.src_cell][req.dst_cell] > span + 1:
             return None
-        if self._flat is not None and hasattr(occ, "time_base"):
-            found, explored = self._flat.find_negotiated(
-                occ, req, prune=self.prune, history=history, penalty=penalty
-            )
-            get_tracer().count(CANDIDATES_EXPLORED, explored)
-            return found
-        # A* over (cell, kind, layer): g = accumulated cost, heuristic
-        # h = span - layer (each remaining layer costs >= 1; the
-        # distance table contributes the reachability cut).  Heap keys
-        # (f, g, state) preserve plain-Dijkstra tie-breaking exactly.
-        start = (req.src_cell, ROUTE, 0)
-        dist: dict[tuple, float] = {start: 0.0}
-        prev: dict[tuple, tuple | None] = {start: None}
-        steps_at: dict[tuple, Step | None] = {start: None}
-        heap = [(float(span), 0.0, start)]
-        best: tuple | None = None
-        explored = 0
-        while heap:
-            _f, d, state = heapq.heappop(heap)
-            if d > dist.get(state, float("inf")):
-                continue
-            explored += 1
-            cell, kind, layer = state
-            if layer == span:
-                # Terminal discipline == _final_ok, same as the
-                # span==0 path: the terminal link must exist *and* be
-                # free for this value — congestion there cannot be
-                # negotiated away, there is no step left to penalise.
-                last = steps_at[state]
-                ok = last is not None and self._final_ok(occ, req, last)
-                if ok:
-                    best = state
-                    break
-                continue
-            t = req.t_emit + 1 + layer
-            candidates = [
-                Step(nxt, t, ROUTE) for nxt in self._reach[cell]
-            ] + [Step(cell, t, HOLD)]
-            nlayer = layer + 1
-            h = float(span - nlayer)
-            for step in candidates:
-                if (
-                    dist_to is not None
-                    and dist_to[step.cell][dst] > span - layer
-                ):
-                    continue
-                nd = d + step_cost(step)
-                ns = (step.cell, step.kind, nlayer)
-                if nd < dist.get(ns, float("inf")):
-                    dist[ns] = nd
-                    prev[ns] = state
-                    steps_at[ns] = step
-                    heapq.heappush(heap, (nd + h, nd, ns))
+        found, explored = self._flat.find_negotiated(
+            occ, req, history=history or {}, penalty=penalty
+        )
         get_tracer().count(CANDIDATES_EXPLORED, explored)
-        if best is None:
-            return None
-        # Reconstruct.
-        out: list[Step] = []
-        s: tuple | None = best
-        while s is not None and steps_at[s] is not None:
-            out.append(steps_at[s])
-            s = prev[s]
-        out.reverse()
-        return out, dist[best]
+        return found
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ variables are shared between IIs (same ``(op, cell, cycle)`` meaning),
 each II's constraints are guarded by a fresh selector literal, and the
 solve runs under ``assumptions=[selector]`` — so learned clauses,
 variable activities, and saved phases carry over instead of being
-rebuilt from scratch at every II.  ``engine="dpll"`` selects the
-retained non-incremental DPLL reference (the baseline the benchmark
-and equivalence suites compare against).
+rebuilt from scratch at every II.  The non-incremental baseline (a
+fresh encoding per II decided by chronological DPLL) lives in
+``tests/oracles`` for the equivalence suite and the solver benchmark.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.ir.dfg import DFG
 from repro.mappers import adjplace
 from repro.mappers.regraph import split_dist0_edges
 from repro.obs.tracer import CANDIDATES_EXPLORED, ROUTING_ATTEMPTS, get_tracer
-from repro.solvers.sat import CNF, DPLLSolver, SatSolver
+from repro.solvers.sat import CNF, SatSolver
 
 __all__ = ["SATMapper"]
 
@@ -152,85 +152,20 @@ class SATMapper(Mapper):
         *,
         conflict_limit: int = 200_000,
         max_route_rounds: int = 1,
-        engine: str = "cdcl",
     ) -> None:
         super().__init__(seed)
-        if engine not in ("cdcl", "dpll"):
-            raise ValueError(f"unknown SAT engine {engine!r}")
         self.conflict_limit = conflict_limit
         self.max_route_rounds = max_route_rounds
-        self.engine = engine
 
     def cache_token(self) -> str:
         return (
-            f"engine={self.engine};climit={self.conflict_limit}"
-            f";rounds={self.max_route_rounds}"
+            f"climit={self.conflict_limit};rounds={self.max_route_rounds}"
         )
 
-    # -- non-incremental reference path --------------------------------
-    def _solve_dpll(
-        self, dfg: DFG, cgra: CGRA, ii: int
-    ) -> tuple[dict[int, adjplace.Slot] | None, bool]:
-        """Fresh DPLL encode-and-solve (the retained baseline)."""
-        domains = adjplace.slot_domains(dfg, cgra, ii)
-        cnf = CNF()
-        var: dict[tuple[int, adjplace.Slot], int] = {}
-        for nid, dom in domains.items():
-            lits = []
-            for s in dom:
-                v = cnf.new_var()
-                var[(nid, s)] = v
-                lits.append(v)
-            cnf.exactly_one(lits)
-
-        by_res: dict[tuple[int, int], list[int]] = {}
-        for (nid, (c, t)), v in var.items():
-            by_res.setdefault((c, t % ii), []).append(v)
-        for lits in by_res.values():
-            if len(lits) > 1:
-                cnf.at_most_one(lits)
-
-        for e in adjplace.real_edges(dfg):
-            lat = dfg.node(e.src).op.latency
-            if e.src == e.dst:
-                for s in domains[e.src]:
-                    if not adjplace.compatible(cgra, ii, e, lat, s, s):
-                        cnf.add(-var[(e.src, s)])
-                continue
-            for su in domains[e.src]:
-                support = [
-                    var[(e.dst, sv)]
-                    for sv in domains[e.dst]
-                    if adjplace.compatible(cgra, ii, e, lat, su, sv)
-                ]
-                if support:
-                    cnf.implies_any(var[(e.src, su)], support)
-                else:
-                    cnf.add(-var[(e.src, su)])
-            for sv in domains[e.dst]:
-                support = [
-                    var[(e.src, su)]
-                    for su in domains[e.src]
-                    if adjplace.compatible(cgra, ii, e, lat, su, sv)
-                ]
-                if support:
-                    cnf.implies_any(var[(e.dst, sv)], support)
-                else:
-                    cnf.add(-var[(e.dst, sv)])
-
-        res = DPLLSolver(cnf).solve(conflict_limit=self.conflict_limit)
-        if not res.sat:
-            return None, res.limit_reached
-        assign: dict[int, adjplace.Slot] = {}
-        for (nid, s), v in var.items():
-            if res.assignment[v]:
-                assign[nid] = s
-        return assign, False
-
-    # -- incremental CDCL path -----------------------------------------
-    def _solve_cdcl(
+    def _solve(
         self, model: _IncrementalModel, dfg: DFG, cgra: CGRA, ii: int
     ) -> tuple[dict[int, adjplace.Slot] | None, bool]:
+        """(assignment or None, conflict limit hit?) for one II."""
         sel, var = model.encode_ii(dfg, cgra, ii)
         res = model.solver.solve(
             assumptions=[sel], conflict_limit=self.conflict_limit
@@ -261,17 +196,10 @@ class SATMapper(Mapper):
                 mapping = None
                 with tracer.span("route_round", round=rounds):
                     tracer.count(CANDIDATES_EXPLORED, work.op_count())
-                    if self.engine == "dpll":
-                        assign, limited = self._solve_dpll(
-                            work, cgra, ii_try
-                        )
-                    else:
-                        model = models.get(rounds)
-                        if model is None:
-                            model = models[rounds] = _IncrementalModel()
-                        assign, limited = self._solve_cdcl(
-                            model, work, cgra, ii_try
-                        )
+                    model = models.get(rounds)
+                    if model is None:
+                        model = models[rounds] = _IncrementalModel()
+                    assign, limited = self._solve(model, work, cgra, ii_try)
                     undetermined = undetermined or limited
                     if assign is not None:
                         tracer.count(ROUTING_ATTEMPTS)

@@ -6,7 +6,8 @@ satisfiability modulo theories.  This implementation runs the classic
 
 1. the Boolean skeleton — one ``x[v, c]`` literal per op/cell pair,
    exactly-one per op, op-support and spatial-degree constraints — is
-   solved by the package's DPLL SAT solver;
+   solved by the package's incremental CDCL SAT solver
+   (:class:`repro.solvers.sat.SatSolver`);
 2. each Boolean model (a complete binding) goes to the **theory
    solver**: scheduling as difference logic.  Adjacent producer/
    consumer pairs pin exact time offsets (``t_v = t_u + 1`` modulo the

@@ -16,7 +16,6 @@ wirelength + congestion objective the meta-heuristics minimise;
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections import deque
 
@@ -30,6 +29,7 @@ __all__ = [
     "route_spatial",
     "route_spatial_partial",
     "route_negotiated",
+    "negotiation_nets",
     "spatial_cost",
     "incident_edges",
     "finalize",
@@ -171,14 +171,29 @@ def route_spatial_partial(
     return routes, failed
 
 
+def negotiation_nets(
+    dfg: DFG, cgra: CGRA, binding: dict[int, int]
+) -> list[Edge]:
+    """The nets negotiated routing must route, longest first.
+
+    Routable edges whose endpoints are neither the same cell nor
+    linked directly, sorted by decreasing hop distance (hardest
+    first).
+    """
+    edges = [
+        e
+        for e in _routable_edges(dfg)
+        if binding[e.src] != binding[e.dst]
+        and not cgra.has_link(binding[e.src], binding[e.dst])
+    ]
+    edges.sort(
+        key=lambda e: -cgra.distance(binding[e.src], binding[e.dst])
+    )
+    return edges
+
+
 def route_negotiated(
-    dfg: DFG,
-    cgra: CGRA,
-    binding: dict[int, int],
-    *,
-    max_iters: int = 16,
-    engine: str = "flat",
-    incremental: bool = True,
+    dfg: DFG, cgra: CGRA, binding: dict[int, int]
 ) -> dict[Edge, list[Step]] | None:
     """PathFinder-style negotiated routing; None if it cannot converge.
 
@@ -194,123 +209,17 @@ def route_negotiated(
     carries two values — the same legality :func:`route_spatial`
     enforces, including fan-out sharing within one value.
 
-    ``engine="flat"`` (default) runs on the flat-array core
+    Runs on the flat-array core
     (:func:`repro.mappers.routecore.negotiate_spatial`: CSR adjacency,
-    Dial bucket queue, generation-stamped scratch); the body below is
-    the scalar executable reference, byte-identical to the flat engine
-    with ``incremental=False``.  ``incremental=True`` (flat engine
-    only) re-routes, after the first iteration, only the nets whose
-    current path crosses an overused cell — legality and convergence
-    checks are unchanged, but intermediate routes may differ from the
-    full re-route schedule (see DESIGN.md §13).
+    Dial bucket queue, generation-stamped scratch) with its incremental
+    schedule: after the first iteration only the nets whose current
+    path crosses an overused cell are re-routed.  Legality and
+    convergence checks are those of the full re-route schedule, but
+    intermediate routes may differ from it (see DESIGN.md §13).
     """
-    op_cells = set(binding.values())
-    edges = [
-        e
-        for e in _routable_edges(dfg)
-        if binding[e.src] != binding[e.dst]
-        and not cgra.has_link(binding[e.src], binding[e.dst])
-    ]
-    if not edges:
-        return {}
-    edges.sort(
-        key=lambda e: -cgra.distance(binding[e.src], binding[e.dst])
+    return negotiate_spatial(
+        cgra, binding, negotiation_nets(dfg, cgra, binding)
     )
-    if engine == "flat":
-        # The edge list is computed (and sorted) once, above, so both
-        # engines negotiate the identical net list.
-        return negotiate_spatial(
-            cgra,
-            binding,
-            edges,
-            max_iters=max_iters,
-            incremental=incremental,
-        )
-    hist: dict[int, float] = {}
-    paths: dict[Edge, list[int]] = {}
-    # Persistent occupancy: cell -> value -> number of paths through.
-    # Counts (not a set) so ripping up one edge of a fan-out does not
-    # erase its sibling's claim on a shared cell.
-    occ: dict[int, dict[int, int]] = {}
-
-    def claim(path: list[int], value: int, add: bool) -> None:
-        for c in path:
-            counts = occ.setdefault(c, {})
-            if add:
-                counts[value] = counts.get(value, 0) + 1
-            else:
-                counts[value] -= 1
-                if not counts[value]:
-                    del counts[value]
-
-    def dijkstra(
-        src: int, dst: int, value: int, pressure: float
-    ) -> list[int] | None:
-        def enter_cost(cell: int) -> float | None:
-            if cell in op_cells:
-                return None
-            counts = occ.get(cell)
-            n_others = (
-                sum(1 for v in counts if v != value) if counts else 0
-            )
-            return (
-                1.0
-                + hist.get(cell, 0.0)
-                + pressure * n_others
-            )
-
-        dist: dict[int, float] = {}
-        prev: dict[int, int] = {}
-        heap: list[tuple[float, int, int]] = []
-        for n in cgra.neighbors_out(src):
-            c = enter_cost(n)
-            if c is not None and n not in dist:
-                dist[n] = c
-                prev[n] = -1
-                heapq.heappush(heap, (c, n, -1))
-        while heap:
-            d, cur, _ = heapq.heappop(heap)
-            if d > dist.get(cur, float("inf")):
-                continue
-            if cgra.has_link(cur, dst):
-                chain = [cur]
-                while prev[chain[-1]] != -1:
-                    chain.append(prev[chain[-1]])
-                chain.reverse()
-                return chain
-            for n in cgra.neighbors_out(cur):
-                c = enter_cost(n)
-                if c is None:
-                    continue
-                nd = d + c
-                if nd < dist.get(n, float("inf")):
-                    dist[n] = nd
-                    prev[n] = cur
-                    heapq.heappush(heap, (nd, n, cur))
-        return None
-
-    for it in range(max_iters):
-        pressure = 1.0 + 2.0 * it
-        for e in edges:
-            old = paths.get(e)
-            if old is not None:
-                claim(old, e.src, add=False)
-            path = dijkstra(
-                binding[e.src], binding[e.dst], e.src, pressure
-            )
-            if path is None:
-                return None  # walled off: no path at any price
-            paths[e] = path
-            claim(path, e.src, add=True)
-        over = [c for c, counts in occ.items() if len(counts) > 1]
-        if not over:
-            return {
-                e: [Step(c, i, ROUTE) for i, c in enumerate(p)]
-                for e, p in paths.items()
-            }
-        for c in over:
-            hist[c] = hist.get(c, 0.0) + float(len(occ[c]) - 1)
-    return None
 
 
 def route_spatial(

@@ -13,8 +13,8 @@ exact mappers need:
   enumeration in the test suite);
 * :mod:`repro.solvers.sat` — a CDCL SAT solver (1-UIP clause learning,
   VSIDS branching, phase saving, Luby restarts, incremental solving
-  under assumptions; the DPLL reference engine is retained for
-  differential testing), plus CNF-building helpers (at-most-one /
+  under assumptions; the test suite replays its verdicts against a
+  DPLL reference), plus CNF-building helpers (at-most-one /
   exactly-one encodings);
 * :mod:`repro.solvers.csp` — a finite-domain CSP solver: backtracking
   with MRV variable choice, forward checking and AC-3 propagation."""

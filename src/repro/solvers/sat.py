@@ -1,21 +1,16 @@
-"""SAT solvers backing the exact mappers.
+"""SAT solver backing the exact mappers.
 
-Two engines share the :class:`SatResult` interface:
-
-* :class:`SatSolver` — a **CDCL** core (conflict-driven clause
-  learning): 1-UIP conflict analysis with non-chronological
-  backjumping, VSIDS branching with decay (heap-based pick), phase
-  saving, and Luby restarts.  It is *incremental*: learned clauses,
-  activities, and saved phases survive across calls, clauses appended
-  to the underlying :class:`CNF` between calls are picked up, and
-  ``solve(assumptions=[...])`` solves under temporary unit
-  assumptions — the machinery the II-escalation loops of the exact
-  mappers use to avoid re-encoding (SAT-MapIt-style incremental modulo
-  scheduling).
-* :class:`DPLLSolver` — the retained chronological-DPLL reference
-  (two-watched-literal propagation, activity-bumped branching).  Small
-  and predictable; the equivalence/fuzz suites check the CDCL engine's
-  sat/unsat verdicts against it.
+:class:`SatSolver` is a **CDCL** core (conflict-driven clause
+learning): 1-UIP conflict analysis with non-chronological
+backjumping, VSIDS branching with decay (heap-based pick), phase
+saving, and Luby restarts.  It is *incremental*: learned clauses,
+activities, and saved phases survive across calls, clauses appended
+to the underlying :class:`CNF` between calls are picked up, and
+``solve(assumptions=[...])`` solves under temporary unit assumptions —
+the machinery the II-escalation loops of the exact mappers use to
+avoid re-encoding (SAT-MapIt-style incremental modulo scheduling).
+The fuzz suite checks its sat/unsat verdicts against a chronological
+DPLL reference kept in ``tests/oracles``.
 
 Literals are non-zero integers in DIMACS convention: ``+v`` is the
 positive literal of variable ``v`` (1-based), ``-v`` its negation.
@@ -36,7 +31,7 @@ from repro.obs.tracer import (
     get_tracer,
 )
 
-__all__ = ["CNF", "SatSolver", "DPLLSolver", "SatResult"]
+__all__ = ["CNF", "SatSolver", "SatResult"]
 
 #: Largest group still encoded pairwise by :meth:`CNF.at_most_one`.
 #: Pairwise needs n(n-1)/2 clauses and no auxiliaries; the sequential
@@ -556,167 +551,3 @@ class SatSolver:
                 tracer.progress(
                     "sat.learned_clauses", len(self._clauses) - db0
                 )
-
-
-class DPLLSolver:
-    """Chronological DPLL over a :class:`CNF` (the retained reference).
-
-    Two-watched-literal unit propagation and activity-bumped branching,
-    no clause learning.  The CDCL engine is checked against this one
-    for sat/unsat agreement by the equivalence and fuzz suites.
-    """
-
-    def __init__(self, cnf: CNF) -> None:
-        self.cnf = cnf
-        self.n = cnf.n_vars
-
-    def solve(self, *, conflict_limit: int | None = None) -> SatResult:
-        """Run DPLL; returns a :class:`SatResult` (see :class:`SatSolver`)."""
-        tracer = get_tracer()
-        if not tracer.enabled:
-            result = self._solve_impl(conflict_limit=conflict_limit)
-            get_metrics().histogram(SAT_CONFLICTS).observe(result.conflicts)
-            return result
-        with tracer.span(
-            "sat_solve", vars=self.n, clauses=len(self.cnf.clauses)
-        ) as span:
-            result = self._solve_impl(conflict_limit=conflict_limit)
-            span.count(SOLVER_CLAUSES, len(self.cnf.clauses))
-            span.count(SOLVER_CONFLICTS, result.conflicts)
-            span.count(SOLVER_DECISIONS, result.decisions)
-            span.tag(sat=result.sat, limit_reached=result.limit_reached)
-            get_metrics().histogram(SAT_CONFLICTS).observe(result.conflicts)
-            return result
-
-    def _solve_impl(self, *, conflict_limit: int | None = None) -> SatResult:
-        n = self.n
-        clauses = [list(c) for c in self.cnf.clauses]
-        # assignment[v] in {None, True, False}; trail for backtracking.
-        assign: list[bool | None] = [None] * (n + 1)
-        trail: list[int] = []  # literals in assignment order
-        trail_lim: list[int] = []  # trail length at each decision level
-        activity = [0.0] * (n + 1)
-        # Explicit propagation state: index of the next trail literal
-        # to propagate (everything before it is fully propagated).
-        prop_head = 0
-
-        # Two-watched-literal scheme.
-        watches: dict[int, list[int]] = {}  # literal -> clause indices
-        for ci, cl in enumerate(clauses):
-            if len(cl) == 1:
-                continue
-            for lit in cl[:2]:
-                watches.setdefault(lit, []).append(ci)
-
-        def value(lit: int) -> bool | None:
-            v = assign[abs(lit)]
-            if v is None:
-                return None
-            return v if lit > 0 else not v
-
-        def enqueue(lit: int) -> bool:
-            v = abs(lit)
-            val = lit > 0
-            if assign[v] is not None:
-                return assign[v] == val
-            assign[v] = val
-            trail.append(lit)
-            return True
-
-        conflicts = 0
-        decisions = 0
-
-        def propagate() -> bool:
-            """Unit propagation from ``prop_head``; False on conflict."""
-            nonlocal prop_head
-            while prop_head < len(trail):
-                lit = trail[prop_head]
-                prop_head += 1
-                neg = -lit
-                wl = watches.get(neg, [])
-                j = 0
-                while j < len(wl):
-                    ci = wl[j]
-                    cl = clauses[ci]
-                    # Ensure neg is cl[1] (watch the other as cl[0]).
-                    if cl[0] == neg:
-                        cl[0], cl[1] = cl[1], cl[0]
-                    if value(cl[0]) is True:
-                        j += 1
-                        continue
-                    # Find a new literal to watch.
-                    moved = False
-                    for k in range(2, len(cl)):
-                        if value(cl[k]) is not False:
-                            cl[1], cl[k] = cl[k], cl[1]
-                            watches.setdefault(cl[1], []).append(ci)
-                            wl[j] = wl[-1]
-                            wl.pop()
-                            moved = True
-                            break
-                    if moved:
-                        continue
-                    # Clause is unit or conflicting on cl[0].
-                    if value(cl[0]) is False:
-                        prop_head = len(trail)
-                        for l in cl:
-                            activity[abs(l)] += 1.0
-                        return False
-                    enqueue(cl[0])
-                    j += 1
-            return True
-
-        # Assert unit clauses at level 0.
-        for cl in clauses:
-            if len(cl) == 1:
-                if not enqueue(cl[0]):
-                    return SatResult(False, conflicts=0)
-        if not propagate():
-            return SatResult(False, conflicts=1)
-
-        level = 0
-        while True:
-            # Pick an unassigned variable with max activity.
-            pick = 0
-            best = -1.0
-            for v in range(1, n + 1):
-                if assign[v] is None and activity[v] >= best:
-                    best = activity[v]
-                    pick = v
-            if pick == 0:
-                model = {v: bool(assign[v]) for v in range(1, n + 1)}
-                return SatResult(True, model, conflicts, decisions)
-
-            decisions += 1
-            level += 1
-            trail_lim.append(len(trail))
-            enqueue(pick)  # try True first
-
-            while not propagate():
-                conflicts += 1
-                if conflict_limit is not None and conflicts > conflict_limit:
-                    return SatResult(
-                        False, None, conflicts, decisions, limit_reached=True
-                    )
-                # Backtrack to the most recent level whose decision
-                # literal still has its flip untried.  We encode "flip
-                # tried" by the sign of the stored decision literal.
-                while True:
-                    if level == 0:
-                        return SatResult(False, None, conflicts, decisions)
-                    # Undo to the start of this level.
-                    limit = trail_lim[-1]
-                    decision_lit = trail[limit]
-                    for l in trail[limit:]:
-                        assign[abs(l)] = None
-                    del trail[limit:]
-                    trail_lim.pop()
-                    level -= 1
-                    prop_head = len(trail)
-                    if decision_lit > 0:
-                        # Flip to False at the parent level.
-                        level += 1
-                        trail_lim.append(len(trail))
-                        enqueue(-decision_lit)
-                        break
-                    # Both polarities failed: keep unwinding.

@@ -4,8 +4,8 @@ The flat-array :class:`~repro.core.resources.Occupancy`, the
 distance-pruned/A* :class:`~repro.mappers.routing.Router`, and the
 parallel sweep layer are all *pure* optimisations: for a fixed seed
 they must produce byte-identical mappings to the reference
-implementations kept in :mod:`repro.core.refimpl`.  This suite holds
-them to that.
+implementations kept in ``tests/oracles``.  This suite holds them to
+that.
 """
 
 from __future__ import annotations
@@ -16,19 +16,19 @@ import pytest
 
 from repro.arch import presets
 from repro.bench.harness import run_matrix
-from repro.core.refimpl import DictOccupancy, ReferenceRouter
 from repro.core.registry import create
 from repro.core.resources import Occupancy
 from repro.dse.explorer import explore
 from repro.ir import kernels as kernel_lib
 from repro.mappers import construct, spr
-from repro.mappers.routing import Router
 from repro.obs.tracer import (
     CANDIDATES_EXPLORED,
     ROUTING_ATTEMPTS,
     tracing,
 )
 from repro.parallel import PMapResult, TaskTimeout, pmap, time_limit
+
+from oracles import DictOccupancy, ReferenceRouter
 
 
 @pytest.fixture(scope="module")
@@ -170,12 +170,6 @@ def test_fixed_seed_mapping_identical_to_reference(
 # ---------------------------------------------------------------------------
 # 3. Pruning: fewer explored candidates, same mapping, same attempts
 # ---------------------------------------------------------------------------
-class _UnprunedRouter(Router):
-    def __init__(self, cgra, **kw):
-        kw["prune"] = False
-        super().__init__(cgra, **kw)
-
-
 @pytest.mark.parametrize("kname", ["fir4", "sobel_x"])
 def test_pruning_strictly_reduces_explored_candidates(
     monkeypatch, cgra, kname
@@ -183,7 +177,8 @@ def test_pruning_strictly_reduces_explored_candidates(
     dfg = kernel_lib.kernel(kname)
     with tracing() as tr_fast:
         fast = create("list_sched", seed=7).map(dfg, cgra)
-    monkeypatch.setattr(construct, "Router", _UnprunedRouter)
+    # The reference router is the unpruned layer-BFS.
+    monkeypatch.setattr(construct, "Router", ReferenceRouter)
     with tracing() as tr_slow:
         slow = create("list_sched", seed=7).map(dfg, cgra)
     monkeypatch.undo()

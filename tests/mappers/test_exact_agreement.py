@@ -14,6 +14,8 @@ from repro.arch import presets
 from repro.core.exceptions import MapFailure
 from repro.ir import kernels
 
+from oracles import DPLLSATMapper
+
 EXACT = ["ilp", "sat", "csp", "bnb"]
 KERNELS = ["dot_product", "vector_add", "if_select", "accumulate"]
 
@@ -87,8 +89,8 @@ def test_sat_engines_agree_on_best_ii(cgra):
 
     for kernel in KERNELS + ["fir4"]:
         dfg = kernels.kernel(kernel)
-        cdcl = SATMapper(engine="cdcl").map(dfg, cgra)
-        dpll = SATMapper(engine="dpll").map(dfg, cgra)
+        cdcl = SATMapper().map(dfg, cgra)
+        dpll = DPLLSATMapper().map(dfg, cgra)
         assert cdcl.ii == dpll.ii, kernel
         assert cdcl.validate() == []
         assert dpll.validate() == []
@@ -99,8 +101,10 @@ def test_sat_conflict_limit_reports_undetermined(cgra):
     from repro.mappers.sat_mapper import SATMapper
 
     dfg = kernels.fir4()
-    for engine in ("cdcl", "dpll"):
-        mapper = SATMapper(conflict_limit=0, engine=engine)
+    for mapper in (
+        SATMapper(conflict_limit=0),
+        DPLLSATMapper(conflict_limit=0),
+    ):
         with pytest.raises(MapFailure, match="undetermined"):
             mapper.map(dfg, cgra, ii=1)
 

@@ -5,11 +5,12 @@ Four layers of assurance for the flat-array engine:
 * structure — the CSR graph mirrors the CGRA's adjacency exactly;
 * unit — CellClaims refcounting and the DialQueue/heapq order contract;
 * identity — negotiated spatial routing and the temporal searches are
-  byte-identical to their scalar references (same routes, same costs,
-  same dict key order);
+  byte-identical to the reference engines in ``tests/oracles`` (same
+  routes, same costs, same dict key order), and the pruned searches'
+  explored-candidate totals are pinned;
 * legality — incremental negotiation may pick different routes, but
-  they are always legal and it succeeds whenever the scalar engine
-  does.
+  they are always legal and it succeeds whenever the full-schedule
+  reference does.
 """
 
 import heapq
@@ -23,8 +24,16 @@ from repro.arch.tec import HOLD, ROUTE
 from repro.core.resources import Occupancy
 from repro.ir import kernels
 from repro.mappers import spatial_common as sc
-from repro.mappers.routecore import CellClaims, DialQueue, flat_graph
+from repro.mappers.routecore import (
+    CellClaims,
+    DialQueue,
+    flat_graph,
+    negotiate_spatial,
+)
 from repro.mappers.routing import RouteRequest, Router
+from repro.obs.tracer import CANDIDATES_EXPLORED, tracing
+
+from oracles import ReferenceRouter, negotiate_reference
 
 SMALL_ARCHS = ["simple4x4", "adres4x4", "hycube4x4", "hetero4x4"]
 # hetero4x4's op classes are too tight for injective random spatial
@@ -158,7 +167,7 @@ def test_dial_queue_empty_pop_raises():
         q.pop()
 
 
-# -- negotiated spatial routing: flat vs scalar -----------------------------
+# -- negotiated spatial routing: flat vs reference --------------------------
 def _corpus(arch, n_ops, seed):
     cgra = by_name(arch)
     dfg = kernels.kernel(f"layered:{n_ops}:2:{seed}")
@@ -179,28 +188,26 @@ def test_negotiate_flat_full_matches_scalar_small(arch, seed):
     cgra, dfg, binding = _corpus(arch, 10 + 2 * (seed % 2), seed)
     if binding is None:
         pytest.skip("no injective binding for this seed")
-    r_flat = sc.route_negotiated(
-        dfg, cgra, binding, engine="flat", incremental=False
-    )
-    r_scalar = sc.route_negotiated(dfg, cgra, binding, engine="scalar")
-    assert (r_flat is None) == (r_scalar is None)
+    nets = sc.negotiation_nets(dfg, cgra, binding)
+    r_flat = negotiate_spatial(cgra, binding, nets, incremental=False)
+    r_ref = negotiate_reference(cgra, binding, nets)
+    assert (r_flat is None) == (r_ref is None)
     if r_flat is not None:
-        assert r_flat == r_scalar
+        assert r_flat == r_ref
         # Byte-identical includes dict insertion order.
-        assert list(r_flat) == list(r_scalar)
+        assert list(r_flat) == list(r_ref)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_negotiate_flat_full_matches_scalar_16x16(seed):
     cgra, dfg, binding = _corpus("simple16x16", 24, seed)
     assert binding is not None
-    r_flat = sc.route_negotiated(
-        dfg, cgra, binding, engine="flat", incremental=False
-    )
-    r_scalar = sc.route_negotiated(dfg, cgra, binding, engine="scalar")
-    assert (r_flat is None) == (r_scalar is None)
+    nets = sc.negotiation_nets(dfg, cgra, binding)
+    r_flat = negotiate_spatial(cgra, binding, nets, incremental=False)
+    r_ref = negotiate_reference(cgra, binding, nets)
+    assert (r_flat is None) == (r_ref is None)
     if r_flat is not None:
-        assert r_flat == r_scalar and list(r_flat) == list(r_scalar)
+        assert r_flat == r_ref and list(r_flat) == list(r_ref)
 
 
 def _assert_legal_spatial_routes(cgra, binding, routes):
@@ -229,16 +236,16 @@ def test_incremental_negotiation_legal_and_no_worse(arch, seed):
     cgra, dfg, binding = _corpus(arch, n_ops, seed + 100)
     if binding is None:
         pytest.skip("no injective binding for this seed")
-    r_scalar = sc.route_negotiated(dfg, cgra, binding, engine="scalar")
-    r_inc = sc.route_negotiated(
-        dfg, cgra, binding, engine="flat", incremental=True
+    r_ref = negotiate_reference(
+        cgra, binding, sc.negotiation_nets(dfg, cgra, binding)
     )
-    # Success parity: incremental succeeds whenever the scalar
-    # schedule does (its exhaustion path falls back to that schedule).
-    if r_scalar is not None:
+    r_inc = sc.route_negotiated(dfg, cgra, binding)
+    # Success parity: incremental succeeds whenever the full schedule
+    # does (its exhaustion path falls back to that schedule).
+    if r_ref is not None:
         assert r_inc is not None
     if r_inc is not None:
-        assert set(r_inc) == set(r_scalar or r_inc)
+        assert set(r_inc) == set(r_ref or r_inc)
         _assert_legal_spatial_routes(cgra, binding, r_inc)
 
 
@@ -252,11 +259,11 @@ def test_negotiate_adjacent_chain_short_circuits():
     # (0..3 along row 0, then 7 directly below 3).
     cells = [0, 1, 2, 3, 7, 6, 5, 4]
     binding = {nid: cells[i] for i, nid in enumerate(nodes)}
-    r = sc.route_negotiated(dfg, cgra, binding, engine="flat")
-    assert r == {}
+    assert sc.negotiation_nets(dfg, cgra, binding) == []
+    assert sc.route_negotiated(dfg, cgra, binding) == {}
 
 
-# -- temporal searches: flat engine vs scalar engine ------------------------
+# -- temporal searches: Router vs ReferenceRouter ---------------------------
 def _random_occ(cgra, rng, ii=8):
     occ = Occupancy(cgra, ii=ii)
     n = cgra.n_cells
@@ -276,35 +283,12 @@ def _random_occ(cgra, rng, ii=8):
     return occ
 
 
-@pytest.mark.parametrize("arch", ["simple4x4", "hetero4x4"])
-@pytest.mark.parametrize("prune", [False, True])
-def test_router_find_flat_matches_scalar(arch, prune):
-    cgra = by_name(arch)
-    flat = Router(cgra, prune=prune, engine="flat")
-    scalar = Router(cgra, prune=prune, engine="scalar")
-    rng = random.Random(42)
+def _route_corpus(cgra, seed, n_cases, *, with_history=False):
+    """Seeded ``(occ, req, history)`` cases over random occupancies;
+    odd cases carry congestion history when ``with_history``."""
+    rng = random.Random(seed)
     n = cgra.n_cells
-    for case in range(40):
-        occ = _random_occ(cgra, rng)
-        req = RouteRequest(
-            rng.randrange(5),
-            src_cell=rng.randrange(n),
-            t_emit=rng.randrange(4),
-            dst_cell=rng.randrange(n),
-            t_consume=rng.randrange(1, 8),
-        )
-        assert flat.find(occ, req) == scalar.find(occ, req)
-
-
-@pytest.mark.parametrize("arch", ["simple4x4", "hetero4x4"])
-@pytest.mark.parametrize("penalty", [10.0, 2.5])
-def test_router_find_negotiated_flat_matches_scalar(arch, penalty):
-    cgra = by_name(arch)
-    flat = Router(cgra, engine="flat")
-    scalar = Router(cgra, engine="scalar")
-    rng = random.Random(4242)
-    n = cgra.n_cells
-    for case in range(30):
+    for case in range(n_cases):
         occ = _random_occ(cgra, rng)
         req = RouteRequest(
             rng.randrange(5),
@@ -314,7 +298,7 @@ def test_router_find_negotiated_flat_matches_scalar(arch, penalty):
             t_consume=rng.randrange(1, 8),
         )
         history = {}
-        if case % 2:
+        if with_history and case % 2:
             for _ in range(6):
                 key = (
                     rng.randrange(n),
@@ -322,13 +306,77 @@ def test_router_find_negotiated_flat_matches_scalar(arch, penalty):
                     HOLD if rng.random() < 0.5 else ROUTE,
                 )
                 history[key] = float(rng.randrange(1, 4))
+        yield occ, req, history
+
+
+# allow_hold=False exercises the engine's no-hold expansion branch.
+@pytest.mark.parametrize("arch", ["simple4x4", "hetero4x4"])
+@pytest.mark.parametrize("allow_hold", [False, True])
+def test_router_find_flat_matches_scalar(arch, allow_hold):
+    cgra = by_name(arch)
+    flat = Router(cgra, allow_hold=allow_hold)
+    ref = ReferenceRouter(cgra, allow_hold=allow_hold)
+    for occ, req, _ in _route_corpus(cgra, 42, 40):
+        assert flat.find(occ, req) == ref.find(occ, req)
+
+
+@pytest.mark.parametrize("arch", ["simple4x4", "hetero4x4"])
+@pytest.mark.parametrize("penalty", [10.0, 2.5])
+def test_router_find_negotiated_flat_matches_scalar(arch, penalty):
+    cgra = by_name(arch)
+    flat = Router(cgra)
+    ref = ReferenceRouter(cgra)
+    for occ, req, history in _route_corpus(
+        cgra, 4242, 30, with_history=True
+    ):
         a = flat.find_negotiated(
             occ, req, history=history, penalty=penalty
         )
-        b = scalar.find_negotiated(
-            occ, req, history=history, penalty=penalty
-        )
+        b = ref.find_negotiated(occ, req, history=history, penalty=penalty)
         assert (a is None) == (b is None)
         if a is not None:
             assert a[0] == b[0]
             assert a[1] == pytest.approx(b[1], abs=1e-12)
+
+
+#: Router's CANDIDATES_EXPLORED totals over the corpora above:
+#: (find, find_negotiated at penalty 10.0 — the Dial-queue regime —
+#: and at penalty 2.5 — the heap regime).
+EXPLORED_TOTALS = {
+    "simple4x4": (1517, 382, 382),
+    "adres4x4": (1625, 479, 479),
+    "hycube4x4": (1985, 617, 617),
+    "hetero4x4": (1517, 382, 382),
+}
+
+
+def _explored(router, cases, penalty=None):
+    """CANDIDATES_EXPLORED over ``cases``: ``find`` when ``penalty`` is
+    None, else ``find_negotiated`` at that penalty."""
+    with tracing() as tr:
+        for occ, req, history in cases:
+            if penalty is None:
+                router.find(occ, req)
+            else:
+                router.find_negotiated(
+                    occ, req, history=history, penalty=penalty
+                )
+    return tr.counters.get(CANDIDATES_EXPLORED, 0)
+
+
+@pytest.mark.parametrize("arch", SMALL_ARCHS)
+def test_router_explored_totals_pinned(arch):
+    """The pruned searches' work is a regression gate: a change that
+    keeps every route but explores more states fails here."""
+    cgra = by_name(arch)
+    router = Router(cgra)
+    find_cases = list(_route_corpus(cgra, 42, 40))
+    nego_cases = list(_route_corpus(cgra, 4242, 30, with_history=True))
+    got = (
+        _explored(router, find_cases),
+        _explored(router, nego_cases, penalty=10.0),
+        _explored(router, nego_cases, penalty=2.5),
+    )
+    assert got == EXPLORED_TOTALS[arch]
+    # Pruning only ever removes states from the reference's BFS.
+    assert got[0] <= _explored(ReferenceRouter(cgra), find_cases)

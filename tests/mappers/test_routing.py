@@ -12,6 +12,8 @@ from repro.mappers.routing import (
     release_route,
 )
 
+from oracles import ReferenceRouter
+
 
 @pytest.fixture
 def cgra():
@@ -131,18 +133,12 @@ def test_negotiated_prefers_free_paths():
 # The span>0 acceptance of find_negotiated used to check only that the
 # terminal link *exists*, while find and the span==0 paths also
 # required it to be *free* — a congested terminal link was silently
-# accepted and the resulting commit double-booked it.  All three
-# routers (flat engine, scalar engine, reference) now share the strict
+# accepted and the resulting commit double-booked it.  Both routers
+# (production and the reference in tests/oracles) share the strict
 # rule: terminal link must exist AND be usable by this value.
 def _routers_row4():
-    from repro.core.refimpl import ReferenceRouter
-
     cgra = presets.simple_cgra(4, 1)  # a row: 0-1-2-3
-    return cgra, [
-        Router(cgra, engine="flat"),
-        Router(cgra, engine="scalar"),
-        ReferenceRouter(cgra),
-    ]
+    return cgra, [Router(cgra), ReferenceRouter(cgra)]
 
 
 def test_negotiated_rejects_busy_terminal_link_span1():
@@ -170,14 +166,8 @@ def test_negotiated_accepts_terminal_link_shared_by_same_value():
 
 
 def test_negotiated_detours_around_busy_terminal_link():
-    from repro.core.refimpl import ReferenceRouter
-
     cgra = presets.simple_cgra(3, 3)
-    for router in (
-        Router(cgra, engine="flat"),
-        Router(cgra, engine="scalar"),
-        ReferenceRouter(cgra),
-    ):
+    for router in (Router(cgra), ReferenceRouter(cgra)):
         occ = Occupancy(cgra, ii=8)
         occ.add_link(99, 1, 2, 3)  # straight approach busy at consume
         req = RouteRequest(0, src_cell=0, t_emit=0, dst_cell=2, t_consume=3)

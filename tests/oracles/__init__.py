@@ -1,0 +1,36 @@
+"""Reference engines the production layers are checked against.
+
+Production ``src/`` holds one implementation per layer.  The engines
+here exist only to be compared against: each is the original, plain
+form of an algorithm whose optimised form ships in :mod:`repro`, and
+the equivalence suites hold the two to byte-identical results.
+
+* :class:`DictOccupancy` — the tuple-keyed ``dict``/``Counter``
+  resource accounting, vs the flat-array
+  :class:`repro.core.resources.Occupancy`;
+* :class:`ReferenceRouter` — exhaustive layer-BFS and plain-Dijkstra
+  temporal route searches, vs the pruned flat-array searches behind
+  :class:`repro.mappers.routing.Router`;
+* :func:`negotiate_reference` — dict + ``heapq`` PathFinder spatial
+  negotiation with the full rip-up schedule, vs
+  :func:`repro.mappers.routecore.negotiate_spatial`;
+* :class:`DPLLSolver` and :class:`DPLLSATMapper` — chronological DPLL
+  and the fresh-encode-per-II SAT mapper on it, vs the incremental
+  CDCL :class:`repro.solvers.sat.SatSolver` behind
+  :class:`repro.mappers.sat_mapper.SATMapper`.
+
+``tests/conftest.py`` puts ``tests/`` on ``sys.path``, so tests import
+this package as ``oracles``; the benchmark scripts insert the same
+directory themselves.
+"""
+
+from oracles.routing import DictOccupancy, ReferenceRouter, negotiate_reference
+from oracles.sat import DPLLSATMapper, DPLLSolver
+
+__all__ = [
+    "DictOccupancy",
+    "DPLLSATMapper",
+    "DPLLSolver",
+    "ReferenceRouter",
+    "negotiate_reference",
+]

@@ -226,7 +226,7 @@ def test_conflict_limit_sets_limit_reached():
                 cnf.add(-var[p1, h], -var[p2, h])
     res = SatSolver(cnf).solve(conflict_limit=5)
     assert not res.sat and res.limit_reached
-    from repro.solvers.sat import DPLLSolver
+    from oracles import DPLLSolver
 
     res = DPLLSolver(cnf).solve(conflict_limit=5)
     assert not res.sat and res.limit_reached

@@ -4,14 +4,17 @@ The tentpole guarantee of the CDCL upgrade: behind the same
 :class:`SatResult` interface, the learning solver and the retained
 DPLL reference agree on sat/unsat for every formula, and every model
 either returns satisfies every clause.  ~200 seeded random CNFs keep
-the check deterministic and fast.
+the check deterministic and fast.  The DPLL engine lives in
+``tests/oracles``.
 """
 
 import random
 
 import pytest
 
-from repro.solvers.sat import CNF, DPLLSolver, SatSolver
+from repro.solvers.sat import CNF, SatSolver
+
+from oracles import DPLLSolver
 
 
 def _random_cnf(seed: int) -> tuple[CNF, list[list[int]]]:

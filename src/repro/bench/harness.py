@@ -1,14 +1,14 @@
 """Sweep runner and table renderer for the benchmarks.
 
-``run_matrix`` runs serially by default; with ``jobs=N`` the cells
-fan out over :func:`repro.parallel.pmap` — deterministic row order,
-per-cell ``timeout`` overruns surfacing as failure rows, and traces
-pickled back from the workers.  ``cache`` opts a sweep into the
-content-addressed mapping cache (:mod:`repro.cache`): repeated cells
-hit instead of re-mapping, workers share the disk tier, their
-hit/miss deltas are folded back into the parent's stats, and
-identical cells *within* one parallel batch dedupe onto a single
-execution (keyed by the cache's content address).
+``run_matrix`` runs its cells through :func:`repro.parallel.pmap` —
+in-process by default, over the worker pool with ``jobs=N`` — with
+deterministic row order, per-cell ``timeout`` overruns surfacing as
+failure rows, and traces pickled back from the workers.  ``cache``
+opts a sweep into the content-addressed mapping cache
+(:mod:`repro.cache`): repeated cells hit instead of re-mapping,
+workers share the disk tier, and identical cells *within* one
+parallel batch dedupe onto a single execution (keyed by the cache's
+content address).
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from os import PathLike
 from typing import Any, Sequence
 
 from repro.arch.cgra import CGRA
-from repro.cache import MappingCache, cache_scope, get_cache
+from repro.cache import MappingCache, cache_scope
 from repro.core.exceptions import MapFailure
 from repro.core.metrics import metrics_of
 from repro.core.registry import create
 from repro.ir import kernels as kernel_lib
 from repro.obs.metrics import MATRIX_CELLS_TOTAL, get_metrics
 from repro.obs.tracer import Span, Tracer, tracing
-from repro.parallel import TaskTimeout, pmap, time_limit
+from repro.parallel import TaskTimeout, pmap
 
 __all__ = ["MatrixResult", "ascii_table", "run_matrix"]
 
@@ -87,23 +87,21 @@ def _run_cell(
     ii: int | None,
     opts: dict,
     trace: bool,
-    timeout: float | None = None,
 ) -> MatrixResult:
-    """One (mapper, kernel) cell — shared by the serial and pool paths."""
+    """One (mapper, kernel) cell.
+
+    A task timeout (the ``pmap`` budget) that lands inside the mapping
+    run becomes a failure row here, with the partial trace attached.
+    """
     get_metrics().counter(MATRIX_CELLS_TOTAL).inc()
     dfg = kernel_lib.kernel(kname)
-    # Built outside the timed region: the first create() of a process
-    # triggers the registry's lazy mapper/solver imports, and an alarm
-    # landing mid-import corrupts the half-imported modules instead of
-    # timing out the cell.  The budget covers the mapping run only.
     mapper = create(mname, **opts)
     tracer = Tracer() if trace else None
     ctx = tracing(tracer) if trace else nullcontext()
     t0 = time.perf_counter()
     try:
         with ctx:
-            with time_limit(timeout):
-                mapping = mapper.map(dfg, cgra, ii=ii)
+            mapping = mapper.map(dfg, cgra, ii=ii)
         total_ms = 1000 * (time.perf_counter() - t0)
         met = metrics_of(mapping)
         return MatrixResult(
@@ -134,39 +132,27 @@ def _run_cell(
         )
 
 
-def _cell_task(
-    cgra: CGRA, task: tuple
-) -> tuple[MatrixResult, dict | None]:
+def _cell_task(cgra: CGRA, task: tuple) -> MatrixResult:
     """pmap payload: unpack one cell (module-level for pickling).
 
     The architecture rides in as the batch-``shared`` value — shipped
-    to each worker once per batch instead of once per cell.  Returns
-    the result plus this cell's cache-stats delta so the parent can
-    fold worker hits/misses into its own totals (workers get a fresh
-    per-batch cache; only the disk tier is shared, the counters are
-    not).
+    to each worker once per batch instead of once per cell.
     """
     mname, kname, ii, opts, trace = task
-    cache = get_cache()
-    before = cache.stats.snapshot() if cache is not None else None
-    result = _run_cell(mname, kname, cgra, ii, opts, trace)
-    delta = (
-        cache.stats.delta_since(before) if cache is not None else None
-    )
-    return result, delta
+    return _run_cell(mname, kname, cgra, ii, opts, trace)
 
 
 def _cell_keys(
     cells: Sequence[tuple], cgra: CGRA, active: MappingCache | None
 ) -> list[str | None] | None:
-    """Content-addressed dedup keys for a parallel sweep's cells.
+    """Content-addressed dedup keys for a sweep's cells.
 
     Only computed when the mapping cache is on — the cache key *is*
     the content address (canonical DFG + arch digests, mapper name,
     seed, requested II, config token), so two cells with equal keys
     would produce byte-identical mappings and in-batch dedup is safe.
     With caching off every cell runs, keeping parallel work (and so
-    metrics totals) exactly equal to the serial sweep's.  A cell whose
+    metrics totals) exactly equal to the ``jobs=1`` sweep's.  A cell whose
     key cannot be computed (unknown kernel, bad opts) gets None and
     runs normally — its error surfaces from the worker like any other.
     """
@@ -208,7 +194,8 @@ def run_matrix(
     With ``trace=True`` each cell runs under its own tracer and the
     resulting root span is attached to :attr:`MatrixResult.trace`.
     ``jobs > 1`` distributes cells over a process pool (same rows, same
-    order; only the timing fields differ from a serial run).
+    order, same cache hit/miss totals; only the timing fields differ
+    from a ``jobs=1`` run).
     ``timeout`` bounds each cell's wall-clock in seconds; an overrun
     becomes a failure row with a timeout error, never a hung sweep.
     ``cache`` follows :func:`repro.cache.cache_scope` semantics:
@@ -222,55 +209,33 @@ def run_matrix(
         for mname in mappers
         for kname in kernels
     ]
+    out: list[MatrixResult] = []
     with cache_scope(cache) as active:
-        if jobs <= 1:
-            return [
-                _run_cell(
-                    mname, kname, cgra, c_ii, c_opts, c_trace,
-                    timeout=timeout,
-                )
-                for mname, kname, c_ii, c_opts, c_trace in cells
-            ]
-        out: list[MatrixResult] = []
-        for res, cell in zip(
-            pmap(
-                _cell_task, cells, jobs=jobs, timeout=timeout,
-                shared=cgra, keys=_cell_keys(cells, cgra, active),
-            ),
-            cells,
-        ):
-            if res.ok:
-                row, delta = res.value
-                if active is not None:
-                    if res.deduped:
-                        # A serial sweep's duplicate cell performs a
-                        # real cache get (a hit, once its primary's
-                        # mapping is stored); book the same hit for the
-                        # deduped copy so hit/miss totals stay equal
-                        # across jobs values.
-                        active.stats.hits += 1
-                    else:
-                        active.stats.merge(delta)
-                out.append(row)
-                continue
-            if not res.timed_out:
-                raise res.error  # mirror the serial path: only
-                # MapFailure and timeouts become rows; anything else
-                # propagates.
-            mname, kname = cell[0], cell[1]
-            _log.warning(
-                "run_matrix: %s on %s failed: %s", mname, kname, res.error
+        results = pmap(
+            _cell_task, cells, jobs=jobs, timeout=timeout,
+            shared=cgra, keys=_cell_keys(cells, cgra, active),
+        )
+    for res, (mname, kname, *_rest) in zip(results, cells):
+        if res.ok:
+            out.append(res.value)
+            continue
+        if not res.timed_out:
+            # Only MapFailure and timeouts become rows; anything else
+            # propagates.
+            raise res.error
+        _log.warning(
+            "run_matrix: %s on %s failed: %s", mname, kname, res.error
+        )
+        out.append(
+            MatrixResult(
+                mapper=mname,
+                kernel=kname,
+                ok=False,
+                time_ms=1000 * res.elapsed,
+                total_ms=1000 * res.elapsed,
+                error=str(res.error),
             )
-            out.append(
-                MatrixResult(
-                    mapper=mname,
-                    kernel=kname,
-                    ok=False,
-                    time_ms=1000 * res.elapsed,
-                    total_ms=1000 * res.elapsed,
-                    error=str(res.error),
-                )
-            )
+        )
     return out
 
 

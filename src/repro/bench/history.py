@@ -121,7 +121,7 @@ def _metric_class(name: str) -> str:
 
 # ---------------------------------------------------------------------------
 def _slice_cell(cgra: CGRA, cell: tuple[str, str]) -> MatrixResult:
-    """pmap payload for the parallel slice (module-level for pickling)."""
+    """pmap payload for the slice (module-level for pickling)."""
     mname, kname = cell
     return _run_cell(mname, kname, cgra, None, {}, False)
 
@@ -144,7 +144,7 @@ def run_slice(
     ``jobs > 1`` runs each repeat's cells over the persistent worker
     pool (warmed *before* the timed region, so the entry measures the
     steady state this ledger slice exists to guard).  Work counts stay
-    identical to the serial slice; only the timings reflect the pool.
+    identical to the ``jobs=1`` slice; only the timings reflect the pool.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -156,18 +156,12 @@ def run_slice(
         cells = list(cells)
         per_cell: list[list[MatrixResult]] = [[] for _ in cells]
         for _ in range(repeats):
-            if jobs > 1:
-                for ci, res in enumerate(
-                    pmap(_slice_cell, cells, jobs=jobs, shared=cgra)
-                ):
-                    if not res.ok:
-                        raise res.error
-                    per_cell[ci].append(res.value)
-            else:
-                for ci, (mname, kname) in enumerate(cells):
-                    per_cell[ci].append(
-                        _run_cell(mname, kname, cgra, None, {}, False)
-                    )
+            for ci, res in enumerate(
+                pmap(_slice_cell, cells, jobs=jobs, shared=cgra)
+            ):
+                if not res.ok:
+                    raise res.error
+                per_cell[ci].append(res.value)
         for (mname, kname), runs in zip(cells, per_cell):
             times = sorted(r.time_ms for r in runs)
             rep = runs[0]

@@ -64,7 +64,7 @@ from repro.obs.tracer import (
     CHECK_DIVERGENCES,
     get_tracer,
 )
-from repro.parallel import TaskTimeout, time_limit
+from repro.parallel import PMapResult, TaskTimeout, race, time_limit
 
 __all__ = ["FuzzReport", "PINNED", "run_case", "run_fuzz"]
 
@@ -337,11 +337,22 @@ def run_case(
 
 # ---------------------------------------------------------------------------
 def _case_worker(payload) -> FuzzReport:
-    """Module-level pmap body: run one case in a fork worker."""
+    """Module-level ``race`` body: run one case (pickled to a worker
+    when the sweep runs on the pool)."""
     case, shrink, timeout, metamorphic = payload
     return run_case(
         case, shrink=shrink, timeout=timeout, metamorphic=metamorphic
     )
+
+
+def _crashed(res: PMapResult) -> bool:
+    """A case that raised (not a timeout) ends the sweep: it re-raises."""
+    return not res.ok and not res.timed_out
+
+
+def _diverged(res: PMapResult) -> bool:
+    """A ``fail_fast`` sweep also ends at an unexplained divergence."""
+    return _crashed(res) or (res.ok and not res.value.ok)
 
 
 def run_fuzz(
@@ -369,8 +380,9 @@ def run_fuzz(
         timeout: per-map wall-clock budget in seconds (SIGALRM-based,
             like the bench harness; None = unbounded).
         log: append divergences to this JSONL file.
-        fail_fast: stop at the first unexplained divergence.
-        jobs: fork workers for the sweep itself (1 = serial).
+        fail_fast: stop at the first unexplained divergence (the
+            cases after it are not reported, or not run at all).
+        jobs: fork workers for the sweep itself (1 = in-process).
         metamorphic: also check relabel / pass-pipeline / fork-replay
             invariants (on by default; the CLI's ``--oracle-only``
             switches them off for bisecting).
@@ -382,32 +394,26 @@ def run_fuzz(
     cases = [
         generate_case(s, mappers, archs, n_iters=n_iters) for s in seeds
     ]
+    payloads = [(c, shrink, timeout, metamorphic) for c in cases]
+    # The per-map timeout is enforced inside the case; give the whole
+    # case a generous multiple before declaring it wedged (shrinking
+    # re-runs the mapper many times).
+    case_budget = None if timeout is None else timeout * 40
+    results = race(
+        _case_worker, payloads, jobs=jobs, timeout=case_budget,
+        accept=_diverged if fail_fast else _crashed,
+    )
     total = FuzzReport()
-    if jobs > 1 and not fail_fast:
-        from repro.parallel import pmap
-
-        payloads = [(c, shrink, timeout, metamorphic) for c in cases]
-        # The per-map timeout is enforced inside the worker; give the
-        # whole case a generous multiple before the pool declares it
-        # wedged (shrinking re-runs the mapper many times).
-        case_budget = None if timeout is None else timeout * 40
-        for r in pmap(_case_worker, payloads, jobs=jobs,
-                      timeout=case_budget):
-            if r.ok:
-                total.merge(r.value)
-            else:
-                total.cases += 1
-                total.timeouts += 1
-    else:
-        for case in cases:
-            total.merge(
-                run_case(
-                    case, shrink=shrink, timeout=timeout,
-                    metamorphic=metamorphic,
-                )
-            )
-            if fail_fast and not total.ok:
-                break
+    for r in results:
+        if r is None:
+            break  # past the case that stopped a fail-fast sweep
+        if r.ok:
+            total.merge(r.value)
+        elif r.timed_out:
+            total.cases += 1
+            total.timeouts += 1
+        else:
+            raise r.error
     if log and total.divergences:
         write_failure_log(log, total.divergences)
     return total

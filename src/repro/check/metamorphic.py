@@ -161,7 +161,10 @@ def fork_replay_difference(
     dfg: DFG, cgra, mapper: str, *, seed: int = 0, ii: int | None = None,
     timeout: float | None = None,
 ) -> str | None:
-    """In-process solve vs two fork workers: must be byte-identical."""
+    """In-process solve vs two fork workers: must be byte-identical.
+
+    A replay that timed out gives no verdict, as in the other replay
+    modes: the budget says nothing about the bytes."""
     from repro.parallel import pmap
 
     reference = _fork_map((dfg, cgra, mapper, seed, ii))
@@ -172,6 +175,8 @@ def fork_replay_difference(
         timeout=timeout,
     )
     for r in results:
+        if r.timed_out:
+            continue
         if not r.ok:
             return f"fork worker failed: {r.error!r}"
         if r.value != reference:

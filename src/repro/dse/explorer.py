@@ -25,11 +25,11 @@ from typing import Sequence
 
 from repro.arch import presets
 from repro.arch.cgra import CGRA
-from repro.cache import MappingCache, cache_scope, get_cache
+from repro.cache import MappingCache, cache_scope
 from repro.core.exceptions import MapFailure
 from repro.core.registry import create
 from repro.ir import kernels as kernel_lib
-from repro.parallel import TaskTimeout, pmap, time_limit
+from repro.parallel import pmap
 
 __all__ = ["DesignPoint", "default_space", "explore", "pareto_front"]
 
@@ -189,22 +189,14 @@ def _fallback_point(params: dict, suite: Sequence[str]) -> DesignPoint:
     )
 
 
-def _point_task(
-    suite: tuple, task: tuple
-) -> tuple[DesignPoint, dict | None]:
+def _point_task(suite: tuple, task: tuple) -> DesignPoint:
     """pmap payload: one design point (module-level for pickling).
 
     The kernel suite is batch-constant and rides in as the ``shared``
-    value.  Returns the point plus the cache-stats delta accrued while
-    evaluating it, so the parent can fold worker hits/misses into its
-    own totals.
+    value.
     """
     params, mapper = task
-    c = get_cache()
-    before = c.stats.snapshot() if c is not None else None
-    point = evaluate_point(params, suite, mapper=mapper)
-    delta = c.stats.delta_since(before) if c is not None else None
-    return point, delta
+    return evaluate_point(params, suite, mapper=mapper)
 
 
 def explore(
@@ -228,66 +220,37 @@ def explore(
     share a feasibility-equivalent architecture and kernel re-use each
     other's mappings — across points, across repeated sweeps, and
     (with a path argument) across processes via the shared disk tier.
-
-    In-batch dedup of identical ``(params, mapper)`` points preserves
-    the returned points and the mapping-work totals exactly, but not
-    the cache's hit/miss counters: a serial sweep's duplicate point
-    performs one cache get per mapped kernel (and a miss per failed
-    one), while the deduped copy touches the cache not at all — so a
-    parallel sweep with duplicate points reads lower on
-    ``stats.hits``/``stats.misses`` than its serial twin.
     """
     kernels = suite or ["dot_product", "fir4", "sobel_x", "if_select"]
     points = list(space if space is not None else default_space())
     tasks = [(params, mapper) for params in points]
     pts: list[DesignPoint] = []
     with cache_scope(cache) as active:
-        if jobs <= 1:
-            for task in tasks:
-                try:
-                    with time_limit(timeout):
-                        pts.append(evaluate_point(
-                            task[0], kernels, mapper=task[1]
-                        ))
-                except TaskTimeout as ex:
-                    _log.warning(
-                        "design point %sx%s/%s: %s; charging the"
-                        " sequential fallback",
-                        task[0]["size"], task[0]["size"],
-                        task[0]["topology"], ex,
-                    )
-                    pts.append(_fallback_point(task[0], kernels))
-        else:
-            # Identical (params, mapper) points in one sweep do the
-            # same work; with the cache on they dedupe in-batch (the
-            # point key is the whole solver-visible identity).
-            keys = (
-                [f"pt-{_params_key(p)}-{m}" for p, m in tasks]
-                if active is not None
-                else None
+        # Identical (params, mapper) points in one sweep do the same
+        # work; with the cache on they dedupe in-batch (the point key
+        # is the whole solver-visible identity).
+        keys = (
+            [f"pt-{_params_key(p)}-{m}" for p, m in tasks]
+            if active is not None
+            else None
+        )
+        results = pmap(
+            _point_task, tasks, jobs=jobs, timeout=timeout,
+            shared=tuple(kernels), keys=keys,
+        )
+    for res, (params, _mapper) in zip(results, tasks):
+        if res.ok:
+            pts.append(res.value)
+        elif res.timed_out:
+            _log.warning(
+                "design point %sx%s/%s: %s; charging the"
+                " sequential fallback",
+                params["size"], params["size"], params["topology"],
+                res.error,
             )
-            for res, task in zip(
-                pmap(
-                    _point_task, tasks, jobs=jobs, timeout=timeout,
-                    shared=tuple(kernels), keys=keys,
-                ),
-                tasks,
-            ):
-                if res.ok:
-                    point, delta = res.value
-                    if active is not None and not res.deduped:
-                        active.stats.merge(delta)
-                    pts.append(point)
-                elif res.timed_out:
-                    _log.warning(
-                        "design point %sx%s/%s: %s; charging the"
-                        " sequential fallback",
-                        task[0]["size"], task[0]["size"],
-                        task[0]["topology"], res.error,
-                    )
-                    pts.append(_fallback_point(task[0], kernels))
-                else:
-                    raise res.error
+            pts.append(_fallback_point(params, kernels))
+        else:
+            raise res.error
     return sorted(pts, key=lambda p: (p.cost, -p.performance))
 
 

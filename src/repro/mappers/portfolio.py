@@ -12,8 +12,8 @@ Determinism: the winner is chosen by *entrant order*, not completion
 order — policy ``"first"`` takes the lowest-index entrant that
 produced a valid mapping, policy ``"best"`` waits for everyone and
 takes the lowest II (ties broken by entrant order).  The portfolio
-therefore returns the same mapping for a fixed seed whether it runs
-serially or in parallel.
+therefore returns the same mapping for a fixed seed whether its
+entrants run in-process or on the worker pool.
 """
 
 from __future__ import annotations
@@ -29,14 +29,7 @@ from repro.core.mapping import Mapping
 from repro.core.registry import create, register
 from repro.ir.dfg import DFG
 from repro.obs.tracer import get_tracer, tracing
-from repro.parallel import (
-    PMapResult,
-    TaskTimeout,
-    in_worker,
-    pmap,
-    race,
-    time_limit,
-)
+from repro.parallel import PMapResult, pmap, race
 
 __all__ = ["PortfolioMapper"]
 
@@ -61,6 +54,12 @@ def _entrant_task(shared: tuple, payload: tuple) -> Mapping:
         return create(mname, seed=seed).map(dfg, cgra, ii=ii)
     with tracing():
         return create(mname, seed=seed).map(dfg, cgra, ii=ii)
+
+
+def _lost(res: PMapResult) -> bool:
+    """Whether a failed entrant lost the race (a timeout or a
+    ``MapFailure``) rather than hit a bug."""
+    return res.timed_out or isinstance(res.error, MapFailure)
 
 
 @register
@@ -148,48 +147,8 @@ class PortfolioMapper(Mapper):
             finished, key=lambda t: (t[1].ii or 10**9, t[0])
         )[1]
 
-    def _map_serial(
-        self, dfg: DFG, cgra: CGRA, ii: int | None
-    ) -> Mapping:
-        """Entrants in priority order, in-process, under the caller's
-        tracer (spans nest naturally)."""
-        tracer = get_tracer()
-        finished: list[tuple[int, Mapping]] = []
-        best_ii: int | None = None
-        for idx, mname in enumerate(self.mappers):
-            # Construction stays off the clock — the entrant's budget
-            # covers its mapping run, not the registry's lazy imports.
-            entrant = create(mname, seed=self.seed)
-            try:
-                with time_limit(self.timeout):
-                    mapping = entrant.map(dfg, cgra, ii=ii)
-            except (MapFailure, TaskTimeout) as ex:
-                _log.debug("portfolio: %s lost: %s", mname, ex)
-                continue
-            if mapping.ii is not None and (
-                best_ii is None or mapping.ii < best_ii
-            ):
-                best_ii = mapping.ii
-                tracer.progress("portfolio.best_ii", best_ii)
-            if self.policy == "first":
-                tracer.tag(winner=mname)
-                return mapping
-            finished.append((idx, mapping))
-        best = self._pick_best(finished)
-        if best is None:
-            raise self.fail(
-                f"all {len(self.mappers)} entrants failed on {dfg.name}",
-                attempts=len(self.mappers),
-            )
-        get_tracer().tag(winner=best.mapper)
-        self._seed_cache(dfg, cgra, ii, best)
-        return best
-
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         jobs = self._effective_jobs()
-        if jobs <= 1 or in_worker():
-            return self._map_serial(dfg, cgra, ii)
-
         tracer = get_tracer()
         shared = (dfg, cgra)
         tasks = [
@@ -197,9 +156,12 @@ class PortfolioMapper(Mapper):
             for mname in self.mappers
         ]
         if self.policy == "first":
+            # A bug (anything but a lost race) also ends the race, so
+            # it surfaces without running the entrants behind it.
             results = race(
                 _entrant_task, tasks, jobs=jobs,
                 timeout=self.timeout, shared=shared,
+                accept=lambda r: r.ok or not _lost(r),
             )
         else:
             results = pmap(
@@ -213,9 +175,7 @@ class PortfolioMapper(Mapper):
         ]
         for i, r in enumerate(results):
             if isinstance(r, PMapResult) and not r.ok:
-                if not r.timed_out and not isinstance(
-                    r.error, MapFailure
-                ):
+                if not _lost(r):
                     raise r.error  # a bug, not a lost race
                 _log.debug(
                     "portfolio: %s lost: %s", self.mappers[i], r.error
@@ -229,8 +189,8 @@ class PortfolioMapper(Mapper):
                 f"all {len(self.mappers)} entrants failed on {dfg.name}",
                 attempts=len(self.mappers),
             )
-        # Graft the winner's worker-side trace under our root span so
-        # --profile sees inside the child process.
+        # Graft the winner's own trace under our root span so
+        # --profile sees inside the entrant, wherever it ran.
         if winner.ii is not None:
             tracer.progress("portfolio.best_ii", winner.ii)
         if tracer.enabled:

@@ -3,12 +3,17 @@
 One *persistent* worker-pool abstraction serves every sweep in the
 package: :func:`repro.bench.run_matrix` (mapper x kernel grids),
 :func:`repro.dse.explore` (architecture sweeps), the ``portfolio``
-mapper (racing several mappers on one kernel), and the perf ledger's
-parallel slice.  The contract:
+mapper (racing several mappers on one kernel), the conformance fuzz
+driver (:func:`repro.check.run_fuzz`), and the perf ledger's slices.
+The contract:
 
-* **Determinism** — results come back in submission order regardless
-  of completion order, and ``jobs=1`` callers keep their exact serial
-  code path (they never enter the pool).
+* **One path for every ``jobs``** — callers make one ``pmap``/``race``
+  call whatever ``jobs`` is; ``jobs`` only decides where the tasks
+  run.  ``jobs <= 1`` runs them in-process, in submission order, never
+  entering the pool, after the same parent prewarm the pool uses (so
+  no task's first ``create()`` imports the mapper stack under its
+  alarm).  Results come back in submission order regardless of
+  completion order.
 * **One pool per process** — workers are forked once, pre-warmed
   (heavy mapper/solver imports done before timing starts), and reused
   across calls (:mod:`repro.parallel.pool`); fork-per-call overhead no
@@ -20,23 +25,26 @@ parallel slice.  The contract:
   is killed and respawned by a parent-side backstop, without
   poisoning the rest of the batch.
 * **No nested pools** — workers are marked (:func:`in_worker`), and
-  parallel entry points degrade to their serial paths inside one, so
-  a ``portfolio`` mapper inside a parallel ``run_matrix`` sweep does
-  not fork a second pool per cell.
+  ``pmap``/``race`` run in-process inside one, so a ``portfolio``
+  mapper inside a parallel ``run_matrix`` sweep does not fork a second
+  pool per cell.
 * **Traces travel** — values are pickled back whole, including any
   :class:`repro.obs.Span` trees a task attached, so ``--profile``
   aggregates child work in the parent.
-* **Metrics merge exactly** — when a metrics registry is active
-  (:func:`repro.obs.metrics.metrics_scope`), each worker ships the
-  snapshot *delta* it accrued back in its :class:`PMapResult` and the
-  parent folds the deltas in, in submission order (the same pattern
-  as the mapping cache's stats-delta merge), so a ``jobs=N`` sweep
-  reports the same counter totals and histogram counts as the serial
-  run.
+* **Metrics and cache stats merge exactly** — each worker ships the
+  metrics-snapshot delta (when a registry is active,
+  :func:`repro.obs.metrics.metrics_scope`) and the mapping-cache stats
+  delta (when a cache is active) its task accrued back on its
+  :class:`PMapResult`, and one fold (:func:`fold_deltas`) merges both
+  into the parent in submission order, so a ``jobs=N`` sweep reports
+  the same counter totals, histogram counts and cache hit/miss counts
+  as the in-process run.  In-process results ship no deltas: their
+  counts already landed in the live registry and cache.
 * **Identical work runs once** — callers that can content-address
   their tasks (the harnesses pass the mapping cache's keys) get
   in-batch dedup: duplicate tasks collapse onto one execution and the
-  copies are marked ``deduped``.
+  copies are marked ``deduped``; a copy books its primary's cache
+  lookups as if replayed, so hit/miss totals still match ``jobs=1``.
 
 Workers are forked (POSIX), so an architecture or registry built in
 the parent before pool creation is visible in the children without
@@ -51,6 +59,7 @@ from typing import Any, Callable, Sequence
 from repro.parallel.pool import (
     WorkerCrash,
     WorkerPool,
+    _prewarm_parent,
     get_pool,
     pool_scope,
     prewarm,
@@ -61,7 +70,7 @@ from repro.parallel.tasks import (
     BACKSTOP_SLACK,
     PMapResult,
     TaskTimeout,
-    fold_worker_metrics as _fold_worker_metrics,
+    fold_deltas,
     in_worker,
     run_task,
     time_limit,
@@ -72,6 +81,7 @@ __all__ = [
     "TaskTimeout",
     "WorkerCrash",
     "WorkerPool",
+    "fold_deltas",
     "get_pool",
     "in_worker",
     "pmap",
@@ -83,8 +93,20 @@ __all__ = [
 ]
 
 
-def _task_args(shared: Any, item: Any) -> tuple:
-    return (shared, item) if shared is not None else (item,)
+def _run_here(
+    fn: Callable[..., Any], shared: Any, item: Any, index: int,
+    budget: float | None,
+) -> PMapResult:
+    """Run one task in-process.  An interrupt (``KeyboardInterrupt``,
+    ``SystemExit``) propagates at once, as from a plain loop, instead
+    of becoming a result the caller sees only after the whole batch."""
+    args = (shared, item) if shared is not None else (item,)
+    res = run_task(fn, args, index, budget)
+    if res.error is not None and not isinstance(
+        res.error, (Exception, TaskTimeout)
+    ):
+        raise res.error
+    return res
 
 
 def pmap(
@@ -106,8 +128,8 @@ def pmap(
             given.
         items: the work list; results come back in this order.
         jobs: worker processes.  ``jobs <= 1`` (or a call from inside
-            a worker) runs serially in-process — same semantics, no
-            pool.
+            a worker, or a single item) runs the items in-process, in
+            order — same semantics, no pool.
         timeout: per-task wall-clock budget in seconds (None = none).
         timeouts: per-item budgets overriding ``timeout`` — one entry
             per item, ``None`` meaning unlimited.  Lets one batch mix
@@ -118,8 +140,8 @@ def pmap(
         keys: optional per-item dedup keys (None entries never
             dedupe).  Items with equal keys run once; the duplicates
             receive deep copies of the primary's result, marked
-            ``deduped``.  Only the pool path dedupes — the serial path
-            is kept byte-for-byte serial.
+            ``deduped``.  Only the pool path dedupes; in-process every
+            item runs.
         on_result: called as ``on_result(index, result)`` the moment
             each item settles (duplicates settle with their primary),
             letting a caller stream results with no batch barrier.  It
@@ -141,10 +163,11 @@ def pmap(
         if len(timeouts) != len(items):
             raise ValueError("timeouts must align one-to-one with items")
     if jobs <= 1 or in_worker() or len(items) <= 1:
+        _prewarm_parent()  # as the pool does before it forks
         out: list[PMapResult] = []
         for i, item in enumerate(items):
             budget = timeouts[i] if timeouts is not None else timeout
-            res = run_task(fn, _task_args(shared, item), i, budget)
+            res = _run_here(fn, shared, item, i, budget)
             out.append(res)
             if on_result is not None:
                 try:
@@ -157,7 +180,7 @@ def pmap(
         fn, items, jobs=jobs, timeout=timeout, timeouts=timeouts,
         shared=shared, keys=keys, on_result=on_result,
     )
-    _fold_worker_metrics(results)
+    fold_deltas(results)
     return results  # type: ignore[return-value]
 
 
@@ -178,8 +201,8 @@ def race(
     race.  Losers are cancelled *promptly* — pending entrants are
     dropped and workers still running losers are killed and respawned
     the moment the winner is decided, rather than drained on
-    teardown.  Serially (``jobs <= 1``, inside a worker, or one item)
-    losers past the winner are simply never started.
+    teardown.  In-process (``jobs <= 1``, inside a worker, or one
+    item) losers past the winner are simply never started.
 
     Returns the submission-ordered result list with ``None`` for every
     task past the winner (losers whose outcome was discarded).
@@ -188,10 +211,9 @@ def race(
     items = list(items)
     results: list[PMapResult | None] = [None] * len(items)
     if jobs <= 1 or in_worker() or len(items) <= 1:
+        _prewarm_parent()
         for i, item in enumerate(items):
-            results[i] = run_task(
-                fn, _task_args(shared, item), i, timeout
-            )
+            results[i] = _run_here(fn, shared, item, i, timeout)
             if accept(results[i]):
                 break
         return results
@@ -200,8 +222,8 @@ def race(
         fn, items, jobs=jobs, timeout=timeout, shared=shared,
         accept=accept,
     )
-    # Only examined entrants' metrics merge; cancelled losers' partial
+    # Only examined entrants' deltas merge; cancelled losers' partial
     # work is discarded with them (deterministic either way — the
     # examined prefix is fixed by submission order).
-    _fold_worker_metrics(results)
+    fold_deltas(results)
     return results

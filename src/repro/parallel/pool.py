@@ -53,7 +53,8 @@ process instead:
 * **In-group dedup** — when the caller supplies content-addressed
   ``keys``, identical tasks of one group collapse onto one execution and
   the duplicates receive deep copies of the primary's result (marked
-  ``deduped``, no metrics — they did no work).
+  ``deduped``, no metrics — they did no work — and the primary's cache
+  lookups booked as if replayed).
 * **Prompt loser cancellation** — ``race()`` batches stop the moment
   the submission-order winner is decided: pending tasks are dropped
   and workers still running losers are killed and respawned, instead
@@ -225,7 +226,8 @@ def _worker_main(conn) -> None:
         disarm_alarm()
         args = (shared, item) if use_shared else (item,)
         res = run_task(
-            fn, args, index, timeout, collect_metrics=metrics_on
+            fn, args, index, timeout,
+            collect_metrics=metrics_on, collect_cache=True,
         )
         disarm_alarm()
         try:
@@ -246,6 +248,7 @@ def _worker_main(conn) -> None:
                         timed_out=res.timed_out,
                         elapsed=res.elapsed,
                         metrics=res.metrics,
+                        cache=res.cache,
                     ),
                 )
             )
@@ -786,10 +789,23 @@ class WorkerPool:
     def _fill_dups(self, g: _Group, p: int) -> None:
         """Copy a settled primary's result onto its duplicates: a deep
         copy, so the caller can mutate results independently; no
-        metrics (the duplicate did no work)."""
+        metrics (the duplicate did no work).
+
+        A copy books its primary's cache lookups as if they were
+        replayed, which is what the duplicate's own in-process run
+        would have done: every primary hit, and every miss the primary
+        then stored, becomes a hit; a miss that stored nothing (a
+        failed map) stays a miss."""
         src = g.results[p]
         if src is None:
             return
+        cache = None
+        if src.cache:
+            stored = min(src.cache["misses"], src.cache["stores"])
+            cache = {
+                "hits": src.cache["hits"] + stored,
+                "misses": src.cache["misses"] - stored,
+            }
         for i in g.dups_of.get(p, ()):
             if g.results[i] is not None:
                 continue
@@ -805,6 +821,7 @@ class WorkerPool:
                 timed_out=src.timed_out,
                 elapsed=0.0,
                 deduped=True,
+                cache=cache,
             )
             self.dedup_hits += 1
             get_metrics().counter(POOL_DEDUP_TOTAL).inc()
@@ -957,7 +974,7 @@ def _cache_spec() -> tuple | None:
     """The active cache's tier spec, for a group header.
 
     Workers rebuild an equivalent cache per header: counters start at
-    zero (their deltas merge back through the harnesses), the memory
+    zero (their deltas ride back on each result), the memory
     tier is private, and the disk tier — the only shared state — is
     named by path.
     """

@@ -1,11 +1,11 @@
-"""Task primitives shared by the serial path and the pool workers.
+"""Task primitives shared by the in-process path and the pool workers.
 
 Everything here runs identically in-process and inside a persistent
 worker: the :class:`PMapResult` envelope, the SIGALRM-based
-:func:`time_limit`, and :func:`run_task`, which executes one task
-under its budget and (in a worker) collects the task's metrics
-snapshot so the parent can fold ``jobs=N`` totals to exactly the
-``jobs=1`` numbers.
+:func:`time_limit`, :func:`run_task`, which executes one task under
+its budget and (in a worker) collects the task's metrics snapshot and
+cache-stats delta, and :func:`fold_deltas`, which merges those deltas
+into the parent so ``jobs=N`` totals equal the ``jobs=1`` numbers.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "PMapResult",
     "TaskTimeout",
     "disarm_alarm",
+    "fold_deltas",
     "in_worker",
     "mark_worker",
     "run_task",
@@ -36,6 +37,11 @@ __all__ = [
 BACKSTOP_SLACK = 10.0
 
 _IN_WORKER = False
+
+#: ``(deadline, seconds)`` of every active :func:`time_limit`,
+#: outermost first; each entry already holds the earliest deadline of
+#: itself and the limits around it.
+_LIMITS: list[tuple[float, float]] = []
 
 
 class TaskTimeout(BaseException):
@@ -57,12 +63,15 @@ def in_worker() -> bool:
 def mark_worker() -> None:
     """Flag this process as a pool worker.
 
-    Parallel entry points check :func:`in_worker` and degrade to their
-    serial paths, so a ``portfolio`` mapper inside a parallel
+    ``pmap``/``race`` check :func:`in_worker` and run in-process
+    inside a worker, so a ``portfolio`` mapper inside a parallel
     ``run_matrix`` sweep never forks a nested pool.
     """
     global _IN_WORKER
     _IN_WORKER = True
+    # A worker forked inside a parent's time_limit inherits its
+    # deadlines but not its timer; its tasks answer to their own.
+    _LIMITS.clear()
 
 
 def disarm_alarm() -> None:
@@ -89,8 +98,11 @@ def time_limit(seconds: float | None) -> Iterator[None]:
     usual way a mapper hangs).  A no-op when ``seconds`` is None/0 or
     when not on the main thread (signals cannot be delivered there);
     pool workers run tasks on their main thread, so the limit is
-    always live in parallel sweeps.  Do not nest: the inner limit
-    replaces the outer timer.
+    always live in parallel sweeps.
+
+    Limits nest: an inner limit arms the earlier of its own deadline
+    and the enclosing one, and its exit re-arms what is left of the
+    enclosing budget (at once, if that deadline has passed).
     """
     if not seconds or seconds <= 0:
         yield
@@ -98,17 +110,33 @@ def time_limit(seconds: float | None) -> Iterator[None]:
     if threading.current_thread() is not threading.main_thread():
         yield
         return
-
-    def _alarm(signum, frame):
-        raise TaskTimeout(f"timeout after {seconds:g}s")
-
-    old_handler = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    limit = (time.monotonic() + seconds, seconds)
+    if _LIMITS:
+        limit = min(limit, _LIMITS[-1])
+    old_handler = signal.signal(signal.SIGALRM, _raise_timeout)
+    _LIMITS.append(limit)
+    _arm(limit[0])
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
+        _LIMITS.pop()
         signal.signal(signal.SIGALRM, old_handler)
+        if _LIMITS:
+            _arm(_LIMITS[-1][0])
+
+
+def _arm(deadline: float) -> None:
+    # setitimer(0) disarms, so an already-passed deadline fires as
+    # soon as possible instead.
+    signal.setitimer(
+        signal.ITIMER_REAL, max(deadline - time.monotonic(), 1e-6)
+    )
+
+
+def _raise_timeout(signum, frame) -> None:
+    seconds = _LIMITS[-1][1] if _LIMITS else 0.0
+    raise TaskTimeout(f"timeout after {seconds:g}s")
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +147,15 @@ class PMapResult:
     ``ok`` tasks carry their return value; failed ones carry the
     raised exception (``timed_out`` distinguishes budget overruns from
     genuine errors, so harnesses can turn the former into failure rows
-    and re-raise the latter like their serial paths would).
-    ``metrics`` is the worker's metrics-snapshot delta for this task
-    (None when no registry was active or the task ran in-process);
-    the parent folds it into its own registry.  ``deduped`` marks a
-    result copied from an identical in-flight task in the same batch
-    rather than computed — such a result did no work and therefore
-    ships no metrics.
+    and re-raise the latter).  ``metrics`` and ``cache`` are the
+    worker's metrics-snapshot and cache-stats deltas for this task
+    (None when no registry or cache was active, or the task ran
+    in-process, where both already landed in the live objects); the
+    parent folds them into its own with :func:`fold_deltas`.
+    ``deduped`` marks a result copied from an identical in-flight task
+    in the same batch rather than computed — such a result did no
+    work, so it ships no metrics, and its ``cache`` delta is its
+    primary's lookups replayed (see ``WorkerPool._fill_dups``).
     """
 
     index: int
@@ -136,6 +166,7 @@ class PMapResult:
     elapsed: float = 0.0
     metrics: dict | None = None
     deduped: bool = False
+    cache: dict | None = None
 
 
 def run_task(
@@ -145,21 +176,33 @@ def run_task(
     timeout: float | None,
     *,
     collect_metrics: bool = False,
+    collect_cache: bool = False,
 ) -> PMapResult:
     """Execute one task under its time budget.
 
     With ``collect_metrics`` (the persistent-pool workers, when the
     parent had a registry active at batch start) the task runs under a
-    fresh registry whose snapshot *is* the task's delta — shipped on
-    success and failure alike, since partial work counts.  In-process
-    runs ship nothing: their metrics already landed in the live
-    registry.
+    fresh registry whose snapshot *is* the task's delta; with
+    ``collect_cache`` (the workers) the active cache's stats delta
+    rides back too.  Both ship on success and failure alike, since
+    partial work counts.  In-process runs ship nothing: their metrics
+    and cache counts already landed in the live objects.
     """
-    if not collect_metrics:
-        return _execute(fn, args, index, timeout, None)
-    registry = MetricsRegistry()
-    with metrics_scope(registry):
-        return _execute(fn, args, index, timeout, registry)
+    from repro.cache import get_cache
+
+    cache = get_cache() if collect_cache else None
+    before = cache.stats.snapshot() if cache is not None else None
+    if collect_metrics:
+        registry = MetricsRegistry()
+        with metrics_scope(registry):
+            res = _execute(fn, args, index, timeout)
+        res.metrics = registry.snapshot() or None
+    else:
+        res = _execute(fn, args, index, timeout)
+    if cache is not None:
+        delta = cache.stats.delta_since(before)
+        res.cache = delta if any(delta.values()) else None
+    return res
 
 
 def _execute(
@@ -167,39 +210,39 @@ def _execute(
     args: tuple,
     index: int,
     timeout: float | None,
-    registry: MetricsRegistry | None,
 ) -> PMapResult:
-    def delta() -> dict | None:
-        if registry is None:
-            return None
-        return registry.snapshot() or None
-
     t0 = time.perf_counter()
     try:
         with time_limit(timeout):
             value = fn(*args)
         return PMapResult(
             index=index, ok=True, value=value,
-            elapsed=time.perf_counter() - t0, metrics=delta(),
+            elapsed=time.perf_counter() - t0,
         )
     except TaskTimeout as ex:
         return PMapResult(
             index=index, ok=False, error=ex, timed_out=True,
-            elapsed=time.perf_counter() - t0, metrics=delta(),
+            elapsed=time.perf_counter() - t0,
         )
     except BaseException as ex:  # pickled back; parent decides
         return PMapResult(
             index=index, ok=False, error=ex,
-            elapsed=time.perf_counter() - t0, metrics=delta(),
+            elapsed=time.perf_counter() - t0,
         )
 
 
-def fold_worker_metrics(results: Sequence[PMapResult | None]) -> None:
-    """Merge worker metric deltas into the parent registry, in
-    submission order (deterministic regardless of completion order)."""
+def fold_deltas(results: Sequence[PMapResult | None]) -> None:
+    """Merge worker metric and cache-stats deltas into the parent's
+    registry and cache, in submission order (deterministic regardless
+    of completion order)."""
+    from repro.cache import get_cache
+
     registry = get_metrics()
-    if not registry.enabled:
-        return
+    cache = get_cache()
     for res in results:
-        if res is not None and res.metrics:
+        if res is None:
+            continue
+        if res.metrics and registry.enabled:
             registry.merge(res.metrics)
+        if res.cache and cache is not None:
+            cache.stats.merge(res.cache)

@@ -21,13 +21,11 @@ from __future__ import annotations
 import logging
 from typing import Any, Callable, Sequence
 
-from repro.cache import get_cache
 from repro.core.exceptions import MapFailure
 from repro.core.registry import create
 from repro.core.serialize import dfg_from_doc, mapping_to_doc
 from repro.ir import kernels as kernel_lib
-from repro.parallel import PMapResult, WorkerPool, get_pool
-from repro.parallel.tasks import fold_worker_metrics
+from repro.parallel import PMapResult, WorkerPool, fold_deltas, get_pool
 from repro.serve.validate import Prepared
 
 __all__ = ["map_batch", "open_batch", "response_of"]
@@ -38,9 +36,9 @@ _log = logging.getLogger("repro.serve.scheduler")
 def _map_task(item: tuple) -> tuple:
     """Pool payload: map one request (module-level for pickling).
 
-    Returns ``("ok", mapping_doc, meta, cache_delta)`` or
-    ``("map_failure", detail, None, cache_delta)``; timeouts and
-    crashes surface through the :class:`PMapResult` envelope instead.
+    Returns ``("ok", mapping_doc, meta)`` or
+    ``("map_failure", detail, None)``; timeouts and crashes surface
+    through the :class:`PMapResult` envelope instead.
     """
     kind, spec, arch, mapper_name, ii, options = item
     from repro.arch import presets
@@ -51,30 +49,22 @@ def _map_task(item: tuple) -> tuple:
         else dfg_from_doc(spec)
     )
     mapper = create(mapper_name, **options)
-    cache = get_cache()
-    before = cache.stats.snapshot() if cache is not None else None
     try:
         mapping = mapper.map(dfg, cgra, ii=ii)
     except MapFailure as ex:
-        delta = (
-            cache.stats.delta_since(before) if cache is not None else None
-        )
-        return ("map_failure", str(ex), None, delta)
-    delta = (
-        cache.stats.delta_since(before) if cache is not None else None
-    )
+        return ("map_failure", str(ex), None)
     meta = {
         "ii": mapping.ii,
         "map_time_ms": round(1000 * mapping.map_time, 3),
     }
-    return ("ok", mapping_to_doc(mapping), meta, delta)
+    return ("ok", mapping_to_doc(mapping), meta)
 
 
 def response_of(p: Prepared, res: PMapResult) -> dict[str, Any]:
     """Translate one settled pool result into a response document."""
     base: dict[str, Any] = {"id": p.rid, "index": p.index}
     if res.ok:
-        status, payload, meta, _delta = res.value
+        status, payload, meta = res.value
         if status == "ok":
             return {
                 **base,
@@ -123,23 +113,6 @@ def _group_args(
     }
 
 
-def _fold(results: Sequence[PMapResult | None]) -> None:
-    """Merge a settled batch's worker metrics and cache stats."""
-    fold_worker_metrics(results)
-    active = get_cache()
-    if active is not None:
-        for res in results:
-            if res is None or not res.ok:
-                continue
-            if res.deduped:
-                # The duplicate's serial run would have performed a
-                # real cache get (a hit, once its primary stored);
-                # book the same hit so totals match a serial pass.
-                active.stats.hits += 1
-            else:
-                active.stats.merge(res.value[3])
-
-
 def map_batch(
     prepared: Sequence[Prepared],
     *,
@@ -158,7 +131,7 @@ def map_batch(
     results = pool.run_batch(
         _map_task, jobs=jobs, **_group_args(prepared, on_settle)
     )
-    _fold(results)
+    fold_deltas(results)
     return results
 
 
@@ -179,7 +152,7 @@ def open_batch(
     """
 
     def done(results: list[PMapResult | None]) -> None:
-        _fold(results)
+        fold_deltas(results)
         on_done()
 
     pool.open_group(

@@ -185,8 +185,13 @@ class ILP:
             )
 
         res = run()
-        if res.status == 4 and "unbounded or infeasible" in res.message:
-            res = run(presolve=False)  # presolve cannot tell the two apart
+        if res.status == 4 and options["presolve"] and not (
+            "Time limit" in res.message or "Solution limit" in res.message
+        ):
+            # Presolve cannot tell unbounded from infeasible, and on
+            # some tiny models it ends in a bare "Solve error"; the
+            # plain solve decides both.
+            res = run(presolve=False)
         if res.status == 0:
             status = ILPStatus.OPTIMAL
         elif res.status == 2:

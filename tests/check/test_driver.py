@@ -141,3 +141,59 @@ def test_builder_source_round_trips_carried_edges():
     exec(dfg_builder_source(g), namespace)
     rebuilt = namespace["g"]
     assert rebuilt.pretty() == g.pretty()
+
+
+# ---------------------------------------------------------------------------
+# One sweep path for every jobs value
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_fuzz_reraises_a_case_error_instead_of_booking_a_timeout(jobs):
+    # An unknown arch makes every case raise KeyError while building
+    # its problem; that is a harness error, not a timeout.
+    with pytest.raises(KeyError, match="no_such_arch"):
+        run_fuzz(
+            range(0, 3), mappers=["list_sched"], archs=["no_such_arch"],
+            shrink=False, metamorphic=False, jobs=jobs,
+        )
+
+
+@pytest.fixture
+def fresh_pool():
+    """Workers forked after the test's registry patch, and gone again
+    before the next test."""
+    from repro.parallel import shutdown
+
+    shutdown()
+    yield
+    shutdown()
+
+
+def test_fail_fast_stops_at_the_same_case_for_any_jobs(
+    corrupted_list_sched, fresh_pool
+):
+    reports = [
+        run_fuzz(
+            range(0, 12), mappers=[corrupted_list_sched], shrink=False,
+            metamorphic=False, fail_fast=True, jobs=jobs,
+        )
+        for jobs in (1, 2)
+    ]
+    assert not reports[0].ok
+    assert reports[0].cases < 12
+    assert reports[0].summary() == reports[1].summary()
+    assert [d.seed for d in reports[0].divergences] == [
+        d.seed for d in reports[1].divergences
+    ]
+
+
+def test_timed_out_fork_replay_gives_no_verdict():
+    from repro.arch import presets
+    from repro.check.metamorphic import fork_replay_difference
+    from repro.ir import kernels as kernel_lib
+
+    # Budget well below dresc/sobel_x's warm runtime (~50 ms): both
+    # fork replays time out, and a timeout says nothing about bytes.
+    assert fork_replay_difference(
+        kernel_lib.kernel("sobel_x"), presets.simple_cgra(4, 4), "dresc",
+        timeout=0.02,
+    ) is None

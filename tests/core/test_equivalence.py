@@ -11,6 +11,7 @@ that.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -262,6 +263,32 @@ def test_time_limit_raises_in_process():
         with time_limit(0.1):
             while True:
                 pass
+
+
+def _spin(seconds: float) -> None:
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        pass
+
+
+def test_time_limit_nested_inner_exit_rearms_outer():
+    # The inner limit's exit must not disarm the outer one.
+    t0 = time.perf_counter()
+    with pytest.raises(TaskTimeout):
+        with time_limit(1.0):
+            with time_limit(0.2):
+                pass
+            _spin(3.0)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_time_limit_inner_cannot_outlast_outer():
+    t0 = time.perf_counter()
+    with pytest.raises(TaskTimeout):
+        with time_limit(0.2):
+            with time_limit(5.0):
+                _spin(3.0)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_run_matrix_timeout_becomes_failure_row(cgra):

@@ -7,6 +7,7 @@ import pytest
 from repro.arch import presets
 from repro.core.exceptions import MapFailure
 from repro.core.registry import create
+from repro.core.serialize import mapping_to_json
 from repro.ir import kernels as kernel_lib
 from repro.obs.tracer import tracing
 
@@ -74,3 +75,21 @@ def test_all_entrants_failing_raises_mapfailure(cgra):
 def test_bad_policy_rejected():
     with pytest.raises(ValueError):
         create("portfolio", policy="fastest")
+
+
+def _span_names(span):
+    return [span.name, [_span_names(c) for c in span.children]]
+
+
+@pytest.mark.parametrize("policy", ["first", "best"])
+def test_jobs_only_moves_entrants_not_output_or_spans(cgra, policy):
+    dfg = kernel_lib.kernel("fir4")
+    out = {}
+    for jobs in (1, 2):
+        with tracing() as tr:
+            mapping = create("portfolio", policy=policy, jobs=jobs).map(
+                dfg, cgra
+            )
+        assert tr.root.name == "map"
+        out[jobs] = (mapping_to_json(mapping), _span_names(tr.root))
+    assert out[1] == out[2]

@@ -125,6 +125,24 @@ def _sleep_tagged(item):
 
 
 # ---------------------------------------------------------------------------
+def _interrupt_first(ran, item):
+    ran.append(item)
+    if item == 0:
+        raise KeyboardInterrupt
+    return item
+
+
+@pytest.mark.parametrize("run", [pmap, race])
+def test_in_process_interrupt_propagates_at_once(run):
+    # jobs=1 is every sweep's in-process path: Ctrl-C must stop it at
+    # the interrupted task, not come back as a result after the rest
+    # of the batch has run.
+    ran = []
+    with pytest.raises(KeyboardInterrupt):
+        run(_interrupt_first, [0, 1], jobs=1, shared=ran)
+    assert ran == [0]
+
+
 def test_pool_persists_across_pmap_calls():
     warm_pool(2)
     first = set(r.value for r in pmap(_pid, [0, 1, 2, 3], jobs=2))

@@ -118,3 +118,47 @@ def test_run_matrix_no_dedup_without_cache(cgra):
     assert len(rows) == 2
     assert _row_sig(rows[0]) == _row_sig(rows[1])
     assert POOL_DEDUP_TOTAL not in registry.snapshot()
+
+
+def _cache_counts(cache):
+    return (cache.stats.hits, cache.stats.misses, cache.stats.stores)
+
+
+def test_run_matrix_duplicate_cells_book_equal_cache_stats_across_jobs(
+    tmp_path,
+):
+    # A duplicated cell that fails (sa_spatial cannot fit conv3x3 on a
+    # 2x2 array) and a duplicated cell that maps: the deduped copies
+    # book their primary's lookups replayed — a miss for the failure,
+    # a hit for the stored mapping — exactly what the jobs=1 run does.
+    tiny = presets.simple_cgra(2, 2)
+    kernels = ["conv3x3", "conv3x3", "dot_product", "dot_product"]
+    warm_pool(2)
+    counts, rows = {}, {}
+    for jobs in (1, 2):
+        store = MappingCache(tmp_path / f"jobs{jobs}")
+        rows[jobs] = [
+            _row_sig(r) for r in run_matrix(
+                ["sa_spatial"], kernels, tiny, jobs=jobs, cache=store
+            )
+        ]
+        counts[jobs] = _cache_counts(store)
+    assert [r[2] for r in rows[1]] == [False, False, True, True]
+    assert rows[1] == rows[2]
+    assert counts[1] == counts[2] == (1, 3, 1)
+
+
+def test_explore_duplicate_point_books_equal_cache_stats_across_jobs():
+    point = {"size": 4, "topology": "mesh", "rf_size": 4, "mem_cells": "left"}
+    other = {**point, "topology": "one_hop"}
+    space = [point, other, point]
+    suite = ["dot_product", "fir4"]
+    warm_pool(2)
+    counts, points = {}, {}
+    for jobs in (1, 2):
+        store = MappingCache()
+        points[jobs] = explore(space, suite, jobs=jobs, cache=store)
+        counts[jobs] = _cache_counts(store)[:2]
+    assert points[1] == points[2]
+    assert counts[1] == counts[2]
+    assert counts[1][0] > 0  # the duplicate point hit

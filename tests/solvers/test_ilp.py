@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.solvers.ilp import ILP, ILPStatus
@@ -158,6 +158,7 @@ def _brute_force(c, rows, ubs):
 
 
 @given(st.integers(0, 500))
+@example(209)  # presolve ends in HiGHS "Solve error"; the re-solve decides
 @settings(max_examples=25, deadline=None)
 def test_random_model_matches_brute_force(seed):
     """Mixed <=/>=/== rows and one general-integer variable."""

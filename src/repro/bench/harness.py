@@ -28,7 +28,7 @@ from repro.core.registry import create
 from repro.ir import kernels as kernel_lib
 from repro.obs.metrics import MATRIX_CELLS_TOTAL, get_metrics
 from repro.obs.tracer import Span, Tracer, tracing
-from repro.parallel import TaskTimeout, pmap
+from repro.parallel import TaskTimeout, in_process, pmap
 
 __all__ = ["MatrixResult", "ascii_table", "run_matrix"]
 
@@ -143,7 +143,8 @@ def _cell_task(cgra: CGRA, task: tuple) -> MatrixResult:
 
 
 def _cell_keys(
-    cells: Sequence[tuple], cgra: CGRA, active: MappingCache | None
+    cells: Sequence[tuple], cgra: CGRA, active: MappingCache | None,
+    jobs: int,
 ) -> list[str | None] | None:
     """Content-addressed dedup keys for a sweep's cells.
 
@@ -155,8 +156,10 @@ def _cell_keys(
     metrics totals) exactly equal to the ``jobs=1`` sweep's.  A cell whose
     key cannot be computed (unknown kernel, bad opts) gets None and
     runs normally — its error surfaces from the worker like any other.
+    Skipped when the cells will run in-process, where ``pmap`` never
+    reads keys.
     """
-    if active is None:
+    if active is None or in_process(jobs, len(cells)):
         return None
     keys: list[str | None] = []
     for mname, kname, ii, opts, _trace in cells:
@@ -213,7 +216,7 @@ def run_matrix(
     with cache_scope(cache) as active:
         results = pmap(
             _cell_task, cells, jobs=jobs, timeout=timeout,
-            shared=cgra, keys=_cell_keys(cells, cgra, active),
+            shared=cgra, keys=_cell_keys(cells, cgra, active, jobs),
         )
     for res, (mname, kname, *_rest) in zip(results, cells):
         if res.ok:

@@ -14,15 +14,12 @@ exact column.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
 from repro.core.registry import register
 from repro.ir.dfg import DFG
 from repro.mappers import adjplace
-from repro.mappers.regraph import split_dist0_edges
 from repro.solvers.ilp import ILP
 
 __all__ = ["ILPTemporalMapper"]
@@ -115,20 +112,11 @@ class ILPTemporalMapper(Mapper):
         return assign
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
-        def tries(ii_try: int) -> Iterator[Mapping | None]:
-            for rounds in range(self.max_route_rounds + 1):
-                work = (
-                    dfg if rounds == 0 else split_dist0_edges(dfg, rounds)
-                )
-                assign = self._solve(work, cgra, ii_try)
-                if assign is None:
-                    yield None
-                    continue
-                yield adjplace.build_mapping(
-                    work, cgra, ii_try, assign, self.info.name
-                )
-
         return self.search(
-            dfg, cgra, ii, tries,
+            dfg, cgra, ii,
+            adjplace.insertion_tries(
+                dfg, cgra, self.max_route_rounds, self._solve,
+                self.info.name,
+            ),
             f"ILP proved the windowed model infeasible on {cgra.name}",
         )

@@ -83,6 +83,7 @@ __all__ = [
     "WorkerPool",
     "fold_deltas",
     "get_pool",
+    "in_process",
     "in_worker",
     "pmap",
     "pool_scope",
@@ -91,6 +92,13 @@ __all__ = [
     "time_limit",
     "warm_pool",
 ]
+
+
+def in_process(jobs: int, n_items: int) -> bool:
+    """Will ``pmap``/``race`` run ``n_items`` tasks here, not on the
+    pool?  (``jobs <= 1``, a call from inside a worker, or one item;
+    ``pmap`` then ignores dedup ``keys``, so callers may skip them.)"""
+    return jobs <= 1 or in_worker() or n_items <= 1
 
 
 def _run_here(
@@ -162,7 +170,7 @@ def pmap(
         timeouts = list(timeouts)
         if len(timeouts) != len(items):
             raise ValueError("timeouts must align one-to-one with items")
-    if jobs <= 1 or in_worker() or len(items) <= 1:
+    if in_process(jobs, len(items)):
         _prewarm_parent()  # as the pool does before it forks
         out: list[PMapResult] = []
         for i, item in enumerate(items):
@@ -210,7 +218,7 @@ def race(
     accept = accept if accept is not None else (lambda r: r.ok)
     items = list(items)
     results: list[PMapResult | None] = [None] * len(items)
-    if jobs <= 1 or in_worker() or len(items) <= 1:
+    if in_process(jobs, len(items)):
         _prewarm_parent()
         for i, item in enumerate(items):
             results[i] = _run_here(fn, shared, item, i, timeout)

@@ -13,9 +13,8 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.obs.metrics import MetricsRegistry, get_metrics, metrics_scope
 
@@ -90,9 +89,9 @@ def disarm_alarm() -> None:
     signal.setitimer(signal.ITIMER_REAL, 0.0)
 
 
-@contextmanager
-def time_limit(seconds: float | None) -> Iterator[None]:
-    """Raise :class:`TaskTimeout` in the block after ``seconds``.
+class time_limit:
+    """``with time_limit(seconds):`` raises :class:`TaskTimeout` in the
+    block after ``seconds``.
 
     SIGALRM-based, so it interrupts pure-Python compute loops (the
     usual way a mapper hangs).  A no-op when ``seconds`` is None/0 or
@@ -102,39 +101,64 @@ def time_limit(seconds: float | None) -> Iterator[None]:
 
     Limits nest: an inner limit arms the earlier of its own deadline
     and the enclosing one, and its exit re-arms what is left of the
-    enclosing budget (at once, if that deadline has passed).
+    enclosing budget (at once, if that deadline has passed).  Once a
+    deadline has passed the alarm fires again every :data:`REFIRE`
+    seconds until the block that armed it exits, so an inner block's
+    ``except TaskTimeout`` cannot eat an enclosing limit's timeout.
+    The alarm never raises inside this class's own bookkeeping.
     """
-    if not seconds or seconds <= 0:
-        yield
-        return
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
-    limit = (time.monotonic() + seconds, seconds)
-    if _LIMITS:
-        limit = min(limit, _LIMITS[-1])
-    old_handler = signal.signal(signal.SIGALRM, _raise_timeout)
-    _LIMITS.append(limit)
-    _arm(limit[0])
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        _LIMITS.pop()
-        signal.signal(signal.SIGALRM, old_handler)
+
+    def __init__(self, seconds: float | None) -> None:
+        self.seconds = seconds
+        self._old: Any = None
+        self._armed = False
+
+    def __enter__(self) -> None:
+        seconds = self.seconds
+        if not seconds or seconds <= 0:
+            return
+        if threading.current_thread() is not threading.main_thread():
+            return
+        limit = (time.monotonic() + seconds, seconds)
         if _LIMITS:
-            _arm(_LIMITS[-1][0])
+            limit = min(limit, _LIMITS[-1])
+        self._old = signal.signal(signal.SIGALRM, _raise_timeout)
+        _LIMITS.append(limit)
+        self._armed = True
+        _arm(limit[0])
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if self._armed:
+            self._armed = False
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            _LIMITS.pop()
+            signal.signal(signal.SIGALRM, self._old)
+            if _LIMITS:
+                _arm(_LIMITS[-1][0])
+        return False
+
+
+#: seconds between repeated alarms once a deadline has passed
+REFIRE = 0.05
 
 
 def _arm(deadline: float) -> None:
     # setitimer(0) disarms, so an already-passed deadline fires as
     # soon as possible instead.
     signal.setitimer(
-        signal.ITIMER_REAL, max(deadline - time.monotonic(), 1e-6)
+        signal.ITIMER_REAL, max(deadline - time.monotonic(), 1e-6), REFIRE
     )
 
 
+#: code of the frames in which an alarm is dropped, not raised: the
+#: limit's own entry and exit (the repeating timer delivers it later)
+_QUIET = {time_limit.__enter__.__code__, time_limit.__exit__.__code__,
+          _arm.__code__}
+
+
 def _raise_timeout(signum, frame) -> None:
+    if frame is not None and frame.f_code in _QUIET:
+        return
     seconds = _LIMITS[-1][1] if _LIMITS else 0.0
     raise TaskTimeout(f"timeout after {seconds:g}s")
 

@@ -239,6 +239,28 @@ def test_run_matrix_parallel_merges_worker_stats(tmp_path, cgra):
     assert cache.stats.validation_failures == 0
 
 
+def test_run_matrix_in_process_computes_no_dedup_keys(monkeypatch, cgra):
+    calls = []
+    key = MappingCache.key
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return key(self, *args, **kwargs)
+
+    monkeypatch.setattr(MappingCache, "key", counted)
+    serial_cache = MappingCache()
+    serial = run_matrix(MAPPERS, KERNELS, cgra, jobs=1, cache=serial_cache)
+    # One key per cell, the one its own map looks up: at jobs=1 pmap
+    # never reads dedup keys, so none are computed for it.
+    assert len(calls) == len(MAPPERS) * len(KERNELS)
+    pool_cache = MappingCache()
+    pooled = run_matrix(MAPPERS, KERNELS, cgra, jobs=2, cache=pool_cache)
+    assert [_row_key(r) for r in serial] == [_row_key(r) for r in pooled]
+    assert (serial_cache.stats.hits, serial_cache.stats.misses) == (
+        pool_cache.stats.hits, pool_cache.stats.misses
+    )
+
+
 def test_explore_cache_equivalence(tmp_path):
     suite = ["dot_product", "fir4"]
     reference = explore(SPACE, suite, cache=False)

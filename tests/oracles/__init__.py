@@ -14,6 +14,8 @@ the equivalence suites hold the two to byte-identical results.
 * :func:`negotiate_reference` — dict + ``heapq`` PathFinder spatial
   negotiation with the full rip-up schedule, vs
   :func:`repro.mappers.routecore.negotiate_spatial`;
+* :func:`revise_ac1` — the graph-minor mapper's AC-1 sweep, vs the
+  AC-3 :func:`repro.mappers.adjplace.arc_consistent`;
 * :class:`DPLLSolver` and :class:`DPLLSATMapper` — chronological DPLL
   and the fresh-encode-per-II SAT mapper on it, vs the incremental
   CDCL :class:`repro.solvers.sat.SatSolver` behind
@@ -24,6 +26,7 @@ this package as ``oracles``; the benchmark scripts insert the same
 directory themselves.
 """
 
+from oracles.adjplace import revise_ac1
 from oracles.routing import DictOccupancy, ReferenceRouter, negotiate_reference
 from oracles.sat import DPLLSATMapper, DPLLSolver
 
@@ -33,4 +36,5 @@ __all__ = [
     "DPLLSolver",
     "ReferenceRouter",
     "negotiate_reference",
+    "revise_ac1",
 ]

@@ -73,6 +73,7 @@ from repro.parallel.tasks import (
     fold_deltas,
     in_worker,
     run_task,
+    time_left,
     time_limit,
 )
 
@@ -89,6 +90,7 @@ __all__ = [
     "pool_scope",
     "race",
     "shutdown",
+    "time_left",
     "time_limit",
     "warm_pool",
 ]

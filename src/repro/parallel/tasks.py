@@ -27,6 +27,7 @@ __all__ = [
     "in_worker",
     "mark_worker",
     "run_task",
+    "time_left",
     "time_limit",
 ]
 
@@ -136,6 +137,21 @@ class time_limit:
             if _LIMITS:
                 _arm(_LIMITS[-1][0])
         return False
+
+
+def time_left() -> float | None:
+    """Seconds left before the innermost active :func:`time_limit`
+    expires (0.0 once it has passed); None outside any limit, or off
+    the main thread, where limits are no-ops.
+
+    The alarm cannot interrupt native code, so a native solver takes
+    this as its own time limit to stop close to the deadline.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return None
+    if not _LIMITS:
+        return None
+    return max(_LIMITS[-1][0] - time.monotonic(), 0.0)
 
 
 #: seconds between repeated alarms once a deadline has passed

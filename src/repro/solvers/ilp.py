@@ -13,7 +13,9 @@ Model form (minimisation)::
 
 Node and time limits make the solver safe to embed in the II-search
 loops of the exact mappers; a limit hit returns the best integral
-point HiGHS found, if any, without proof of optimality.
+point HiGHS found, if any, without proof of optimality.  Inside a
+:func:`repro.parallel.time_limit` block HiGHS's time limit is also
+capped at what is left of that block's budget.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 
 from repro.obs.tracer import SOLVER_CLAUSES, SOLVER_NODES, get_tracer
+from repro.parallel.tasks import time_left
 
 __all__ = ["ILP", "ILPResult", "ILPStatus"]
 
@@ -172,10 +175,13 @@ class ILP:
             "node_limit": node_limit,
             "presolve": any(self._obj.values()),
         }
-        if time_limit is not None:
-            options["time_limit"] = time_limit
 
         def run(**extra):
+            # HiGHS runs outside the interpreter, where the enclosing
+            # time_limit's alarm cannot stop it: hand it the remainder.
+            limits = [x for x in (time_limit, time_left()) if x is not None]
+            if limits:
+                extra["time_limit"] = min(limits)
             return milp(
                 c,
                 integrality=int_mask.astype(int),

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.parallel import TaskTimeout, time_limit
+from repro.parallel import TaskTimeout, time_left, time_limit
 
 
 def _spin(seconds: float) -> None:
@@ -38,3 +38,14 @@ def test_expired_limit_leaves_no_alarm_behind():
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
     assert signal.getsignal(signal.SIGALRM) is handler
     _spin(0.15)  # no repeat of the expired alarm out here
+
+
+def test_time_left_reads_the_innermost_deadline():
+    assert time_left() is None
+    with time_limit(5.0):
+        assert 4.0 < time_left() <= 5.0
+        with time_limit(60.0):  # cannot outlive the enclosing 5 s
+            assert 4.0 < time_left() <= 5.0
+        with time_limit(0.5):
+            assert 0.0 < time_left() <= 0.5
+    assert time_left() is None

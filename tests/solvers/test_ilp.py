@@ -1,12 +1,14 @@
 """ILP solver tests, cross-checked against brute-force enumeration."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.parallel import TaskTimeout, time_limit
 from repro.solvers.ilp import ILP, ILPStatus
 
 
@@ -125,6 +127,33 @@ def test_limit_status_is_a_limit_with_feasible_incumbent():
         assert set(np.unique(x)) <= {0.0, 1.0}
         assert w @ x <= cap and w[:20] @ x[:20] >= floor
         assert res.objective == pytest.approx(-(v @ x))
+
+
+def _market_split(m: int = 4, n: int = 40, seed: int = 0) -> ILP:
+    """A market-split feasibility model: ``m`` equality rows of random
+    0..99 weights over ``n`` binaries, each at half its row's sum.
+    Branch and bound needs many seconds on it."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 100, size=(m, n))
+    ilp = ILP("market_split")
+    xs = [ilp.add_var() for _ in range(n)]
+    for row in a:
+        ilp.add_constraint(
+            {x: float(w) for x, w in zip(xs, row)}, "==", float(row.sum() // 2)
+        )
+    return ilp
+
+
+def test_enclosing_time_limit_bounds_highs():
+    """SIGALRM cannot stop HiGHS mid-solve, so the solve takes the
+    enclosing block's remaining budget as HiGHS's own time limit and
+    the timeout surfaces as soon as HiGHS hands control back."""
+    ilp = _market_split()
+    t0 = time.perf_counter()
+    with pytest.raises(TaskTimeout):
+        with time_limit(1.0):
+            ilp.solve(time_limit=20.0)
+    assert time.perf_counter() - t0 < 1.5
 
 
 def test_unbounded():

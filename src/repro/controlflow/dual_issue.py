@@ -28,7 +28,7 @@ from repro.mappers.schedule import heights, priority_order
 from repro.controlflow.predication import _copy_block, diamond_parts
 from repro.ir.dfg import Op
 
-__all__ = ["dual_issue", "map_dual_issue"]
+__all__ = ["DISEState", "dual_issue", "map_dual_issue"]
 
 
 def dual_issue(cdfg: CDFG) -> tuple[DFG, set[frozenset[int]]]:
@@ -87,6 +87,28 @@ def dual_issue(cdfg: CDFG) -> tuple[DFG, set[frozenset[int]]]:
     return out, pairs
 
 
+class DISEState(PlacementState):
+    """A placement state in which paired ops may share one FU slot."""
+
+    def __init__(
+        self, dfg: DFG, cgra: CGRA, ii: int, partner: dict[int, int]
+    ) -> None:
+        super().__init__(dfg, cgra, ii)
+        self.partner = partner
+
+    def place(self, nid: int, cell: int, t: int) -> bool:
+        mate = self.partner.get(nid)
+        if mate is not None and self.occ.op_at(cell, t) == mate:
+            # Share the partner's slot: place without the FU check.
+            self.binding[nid] = cell
+            self.schedule[nid] = t
+            if self._route_all(nid) is None:
+                del self.binding[nid], self.schedule[nid]
+                return False
+            return True
+        return super().place(nid, cell, t)
+
+
 def map_dual_issue(
     dfg: DFG,
     pairs: set[frozenset[int]],
@@ -100,36 +122,8 @@ def map_dual_issue(
         partner[a] = b
         partner[b] = a
 
-    class DISEState(PlacementState):
-        def place(self, nid: int, cell: int, t: int) -> bool:
-            mate = partner.get(nid)
-            if mate is not None and self.occ.op_at(cell, t) == mate:
-                # Share the partner's slot: place without the FU check.
-                self.binding[nid] = cell
-                self.schedule[nid] = t
-                committed = []
-                from repro.mappers.routing import (
-                    commit_route,
-                    release_route,
-                )
-
-                for e in self._routable_edges_of(nid):
-                    req = self._edge_request(e)
-                    steps = self.router.find(self.occ, req)
-                    if steps is None:
-                        for ce, creq, csteps in committed:
-                            release_route(self.occ, self.cgra, creq, csteps)
-                            del self.routes[ce]
-                        del self.binding[nid], self.schedule[nid]
-                        return False
-                    commit_route(self.occ, self.cgra, req, steps)
-                    self.routes[e] = steps
-                    committed.append((e, req, steps))
-                return True
-            return super().place(nid, cell, t)
-
     def attempt(ii_try: int) -> Mapping | None:
-        state = DISEState(dfg, cgra, ii_try)
+        state = DISEState(dfg, cgra, ii_try, partner)
         window = 2 * ii_try + 2
         for nid in priority_order(dfg, by="height"):
             lb, ub = state.time_bounds(nid, window)

@@ -227,6 +227,10 @@ class DFG:
         self._out: dict[int, list[Edge]] = {}
         self._in: dict[int, list[Edge]] = {}
         self._next_id = 0
+        # Bumped by every add/connect/remove, so tables derived from
+        # the graph (see repro.mappers.construct.edge_tables) can tell
+        # when they are stale.
+        self.revision = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -245,6 +249,7 @@ class DFG:
         """
         nid = self._next_id
         self._next_id += 1
+        self.revision += 1
         self._nodes[nid] = Node(nid, op, name=name, value=value, array=array)
         self._out[nid] = []
         self._in[nid] = []
@@ -270,6 +275,7 @@ class DFG:
         if dist < 0:
             raise DFGError(f"negative dependence distance {dist}")
         edge = Edge(src, dst, port=port, dist=dist)
+        self.revision += 1
         self._out[src].append(edge)
         self._in[dst].append(edge)
         return edge
@@ -278,6 +284,7 @@ class DFG:
         """Remove a node and every edge incident to it."""
         if nid not in self._nodes:
             raise DFGError(f"unknown node {nid}")
+        self.revision += 1
         for e in list(self._in[nid]):
             self._out[e.src].remove(e)
         for e in list(self._out[nid]):
@@ -285,6 +292,7 @@ class DFG:
         del self._nodes[nid], self._in[nid], self._out[nid]
 
     def remove_edge(self, edge: Edge) -> None:
+        self.revision += 1
         self._out[edge.src].remove(edge)
         self._in[edge.dst].remove(edge)
 

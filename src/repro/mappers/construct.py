@@ -16,11 +16,23 @@ For annealing loops it also keeps an optional **delta-undo journal**
 every mutation appends its inverse, so rejecting a move replays a few
 inverse operations instead of deep-copying occupancy, binding,
 schedule, and routes on every move.
+
+The state reads the DFG through :class:`EdgeTables` — the real edges
+(neither endpoint pseudo) with their indices, each node's routable
+incident edges, and each node's latency — built once per DFG revision
+by :func:`edge_tables`, not once per state.  Occupancy, binding,
+schedule and routes are the primary state; ``pending`` (real edges
+placed at both ends with no route, by index) and ``route_len`` (total
+route steps) are derived from them and kept current by every mutation
+and every journal replay, touching only the moved op's edges, so
+neither :meth:`PlacementState.unrouted_edges` nor an annealer's cost
+rescans the graph.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Callable, Iterable, Sequence
 
 from repro.arch.cgra import CGRA
@@ -41,11 +53,88 @@ from repro.obs.tracer import (
     get_tracer,
 )
 
-__all__ = ["PlacementState", "greedy_construct", "default_candidates"]
+__all__ = [
+    "EdgeTables",
+    "PlacementState",
+    "default_candidates",
+    "edge_tables",
+    "greedy_construct",
+]
+
+
+class EdgeTables:
+    """What :class:`PlacementState` needs to know about a DFG's edges.
+
+    * ``edges`` — the real edges (neither endpoint pseudo), in
+      ``dfg.edges()`` order; an edge's position is its *index*, and
+      ``index`` maps each real edge back to it;
+    * ``ins[nid]`` — ``(src, edge, index)`` for every in-edge of
+      ``nid`` from a non-pseudo source; ``outs[nid]`` — ``(dst, edge,
+      index)`` for every out-edge to a non-pseudo destination other
+      than ``nid`` itself; ``adj[nid]`` — the two concatenated, which
+      are the edges a placement of ``nid`` routes once the other
+      endpoint is placed.  ``index`` is None only when ``nid`` is
+      itself pseudo (its edges are then not real);
+    * ``latency[nid]`` — the node's op latency.
+    """
+
+    __slots__ = ("edges", "index", "ins", "outs", "adj", "latency")
+
+    def __init__(self, dfg: DFG) -> None:
+        pseudo = {n.nid for n in dfg.nodes() if n.op.is_pseudo}
+        self.latency = {n.nid: n.op.latency for n in dfg.nodes()}
+        self.edges = [
+            e for e in dfg.edges()
+            if e.src not in pseudo and e.dst not in pseudo
+        ]
+        self.index = {e: i for i, e in enumerate(self.edges)}
+        idx = self.index.get
+        self.ins = {
+            nid: tuple(
+                (e.src, e, idx(e))
+                for e in dfg.in_edges(nid) if e.src not in pseudo
+            )
+            for nid in dfg
+        }
+        self.outs = {
+            nid: tuple(
+                (e.dst, e, idx(e))
+                for e in dfg.out_edges(nid)
+                if e.dst not in pseudo and e.dst != nid
+            )
+            for nid in dfg
+        }
+        self.adj = {nid: self.ins[nid] + self.outs[nid] for nid in dfg}
+
+
+_TABLES: weakref.WeakKeyDictionary[DFG, tuple[int, EdgeTables]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def edge_tables(dfg: DFG) -> EdgeTables:
+    """``dfg``'s :class:`EdgeTables`, rebuilt only when the graph changed.
+
+    Mappers that build a state per attempt or per episode share one
+    set of tables per DFG revision instead of paying for it each time.
+    """
+    hit = _TABLES.get(dfg)
+    if hit is not None and hit[0] == dfg.revision:
+        return hit[1]
+    tables = EdgeTables(dfg)
+    _TABLES[dfg] = (dfg.revision, tables)
+    return tables
 
 
 class PlacementState:
-    """Partial mapping under construction for one II."""
+    """Partial mapping under construction for one II.
+
+    Besides occupancy, binding, schedule and routes it keeps two derived
+    values up to date as moves happen, so nothing rescans the DFG:
+    ``pending`` — the indices (see :class:`EdgeTables`) of the real
+    edges whose endpoints are both placed but which have no route yet —
+    and ``route_len`` — the total step count over ``routes``.
+    """
 
     def __init__(
         self, dfg: DFG, cgra: CGRA, ii: int, *, allow_hold: bool = True
@@ -58,6 +147,9 @@ class PlacementState:
         self.binding: dict[int, int] = {}
         self.schedule: dict[int, int] = {}
         self.routes: dict[Edge, list[Step]] = {}
+        self.pending: set[int] = set()
+        self.route_len = 0
+        self._tables = edge_tables(dfg)
         # Delta-undo journal: None until begin_undo() enables it.
         self._undo: list[tuple] | None = None
         # Captured once: a PlacementState lives within one mapper run,
@@ -75,29 +167,48 @@ class PlacementState:
         return len(self._undo)
 
     def undo_to(self, mark: int) -> None:
-        """Replay inverse operations until the journal shrinks to ``mark``."""
+        """Replay inverse operations until the journal shrinks to ``mark``.
+
+        Each entry is undone in the state it was recorded in (later
+        entries are already gone), so ``pending`` follows directly: an
+        op's edges to placed neighbours are unrouted when it appears
+        and leave with it, and a route's edge is pending without it.
+        """
         undo = self._undo
         assert undo is not None
+        adj = self._tables.adj
+        pending = self.pending
+        binding = self.binding
         while len(undo) > mark:
             entry = undo.pop()
             kind = entry[0]
             if kind == "op+":
                 _, nid, cell, t = entry
                 self.occ.release_op(cell, t)
-                del self.binding[nid], self.schedule[nid]
+                del binding[nid], self.schedule[nid]
+                for _, _, i in adj[nid]:
+                    pending.discard(i)
             elif kind == "op-":
                 _, nid, cell, t = entry
                 self.occ.place_op(nid, cell, t)
-                self.binding[nid] = cell
+                binding[nid] = cell
                 self.schedule[nid] = t
+                for other, _, i in adj[nid]:
+                    if i is not None and other in binding:
+                        pending.add(i)
             elif kind == "rt+":
-                _, e, req, steps = entry
+                _, e, i, req, steps = entry
                 release_route(self.occ, self.cgra, req, steps)
                 del self.routes[e]
+                self.route_len -= len(steps)
+                if i is not None:
+                    pending.add(i)
             else:  # "rt-"
-                _, e, req, steps = entry
+                _, e, i, req, steps = entry
                 commit_route(self.occ, self.cgra, req, steps)
                 self.routes[e] = steps
+                self.route_len += len(steps)
+                pending.discard(i)
 
     def commit(self) -> None:
         """Accept everything journaled so far (the log is cleared)."""
@@ -106,29 +217,55 @@ class PlacementState:
 
     # ------------------------------------------------------------------
     def _edge_request(self, e: Edge) -> RouteRequest:
-        lat = self.dfg.node(e.src).op.latency
         return RouteRequest(
             value=e.src,
             src_cell=self.binding[e.src],
-            t_emit=self.schedule[e.src] + lat - 1,
+            t_emit=self.schedule[e.src] + self._tables.latency[e.src] - 1,
             dst_cell=self.binding[e.dst],
             t_consume=self.schedule[e.dst] + e.dist * self.ii,
         )
 
-    def _routable_edges_of(self, nid: int) -> list[Edge]:
-        """Edges of ``nid`` whose other endpoint is already placed."""
-        out = []
-        for e in self.dfg.in_edges(nid):
-            if self.dfg.node(e.src).op.is_pseudo:
-                continue
-            if e.src in self.binding:
-                out.append(e)
-        for e in self.dfg.out_edges(nid):
-            if self.dfg.node(e.dst).op.is_pseudo:
-                continue
-            if e.dst in self.binding and e.dst != nid:
-                out.append(e)
-        return out
+    def _routable_edges_of(
+        self, nid: int
+    ) -> list[tuple[Edge, int | None]]:
+        """``(edge, index)`` for ``nid``'s edges to placed neighbours."""
+        binding = self.binding
+        return [
+            (e, i) for other, e, i in self._tables.adj[nid]
+            if other in binding
+        ]
+
+    def _route_all(
+        self, nid: int
+    ) -> list[tuple[Edge, int | None, RouteRequest, list[Step]]] | None:
+        """Route every edge from the just-bound ``nid`` to its placed
+        neighbours, all or nothing.
+
+        Returns the committed ``(edge, index, request, steps)`` list, or
+        None after releasing whatever was committed when some edge has
+        no route.  ``nid``'s own slot is the caller's to take back.  The
+        new routes leave ``pending`` as it was: ``nid`` was unplaced, so
+        none of its edges were pending.
+        """
+        tracer = self._tracer
+        committed = []
+        added = 0
+        for e, i in self._routable_edges_of(nid):
+            req = self._edge_request(e)
+            tracer.count(ROUTING_ATTEMPTS)
+            steps = self.router.find(self.occ, req)
+            if steps is None:
+                tracer.count(BACKTRACKS)
+                for ce, _, creq, csteps in committed:
+                    release_route(self.occ, self.cgra, creq, csteps)
+                    del self.routes[ce]
+                return None
+            commit_route(self.occ, self.cgra, req, steps)
+            self.routes[e] = steps
+            committed.append((e, i, req, steps))
+            added += len(steps)
+        self.route_len += added
+        return committed
 
     def place(self, nid: int, cell: int, t: int) -> bool:
         """Try to place ``nid`` at ``(cell, t)`` and route its edges.
@@ -143,27 +280,15 @@ class PlacementState:
         self.occ.place_op(nid, cell, t)
         self.binding[nid] = cell
         self.schedule[nid] = t
-
-        committed: list[tuple[Edge, RouteRequest, list[Step]]] = []
-        for e in self._routable_edges_of(nid):
-            req = self._edge_request(e)
-            self._tracer.count(ROUTING_ATTEMPTS)
-            steps = self.router.find(self.occ, req)
-            if steps is None:
-                self._tracer.count(BACKTRACKS)
-                for ce, creq, csteps in committed:
-                    release_route(self.occ, self.cgra, creq, csteps)
-                    del self.routes[ce]
-                self.occ.release_op(cell, t)
-                del self.binding[nid], self.schedule[nid]
-                return False
-            commit_route(self.occ, self.cgra, req, steps)
-            self.routes[e] = steps
-            committed.append((e, req, steps))
+        committed = self._route_all(nid)
+        if committed is None:
+            self.occ.release_op(cell, t)
+            del self.binding[nid], self.schedule[nid]
+            return False
         if self._undo is not None:
             self._undo.append(("op+", nid, cell, t))
-            for ce, creq, csteps in committed:
-                self._undo.append(("rt+", ce, creq, csteps))
+            for ce, ci, creq, csteps in committed:
+                self._undo.append(("rt+", ce, ci, creq, csteps))
         return True
 
     def place_loose(self, nid: int, cell: int, t: int) -> bool:
@@ -185,12 +310,17 @@ class PlacementState:
         self.schedule[nid] = t
         if self._undo is not None:
             self._undo.append(("op+", nid, cell, t))
-        for e in self._routable_edges_of(nid):
-            self.try_route(e)
+        for e, i in self._routable_edges_of(nid):
+            if i is not None:
+                self.pending.add(i)
+            self._try_route(e, i)
         return True
 
     def try_route(self, e: Edge) -> bool:
         """Attempt to route one pending edge; both endpoints must be placed."""
+        return self._try_route(e, self._tables.index.get(e))
+
+    def _try_route(self, e: Edge, i: int | None) -> bool:
         if e in self.routes:
             return True
         req = self._edge_request(e)
@@ -202,34 +332,31 @@ class PlacementState:
             return False
         commit_route(self.occ, self.cgra, req, steps)
         self.routes[e] = steps
+        self.route_len += len(steps)
+        self.pending.discard(i)
         if self._undo is not None:
-            self._undo.append(("rt+", e, req, steps))
+            self._undo.append(("rt+", e, i, req, steps))
         return True
 
     def unrouted_edges(self) -> list[Edge]:
-        """Routable edges with both endpoints placed but no route yet."""
-        out = []
-        for e in self.dfg.edges():
-            if (
-                e.src in self.binding
-                and e.dst in self.binding
-                and e not in self.routes
-                and not self.dfg.node(e.src).op.is_pseudo
-                and not self.dfg.node(e.dst).op.is_pseudo
-            ):
-                out.append(e)
-        return out
+        """Routable edges with both endpoints placed but no route yet,
+        in ``dfg.edges()`` order."""
+        edges = self._tables.edges
+        return [edges[i] for i in sorted(self.pending)]
 
     def unplace(self, nid: int) -> None:
         """Remove ``nid`` and the routes of its placed edges."""
         cell, t = self.binding[nid], self.schedule[nid]
-        for e in self._routable_edges_of(nid):
+        for e, i in self._routable_edges_of(nid):
             if e in self.routes:
                 req = self._edge_request(e)
                 steps = self.routes.pop(e)
                 release_route(self.occ, self.cgra, req, steps)
+                self.route_len -= len(steps)
                 if self._undo is not None:
-                    self._undo.append(("rt-", e, req, steps))
+                    self._undo.append(("rt-", e, i, req, steps))
+            else:
+                self.pending.discard(i)
         self.occ.release_op(cell, t)
         del self.binding[nid], self.schedule[nid]
         if self._undo is not None:
@@ -238,24 +365,20 @@ class PlacementState:
     # ------------------------------------------------------------------
     def time_bounds(self, nid: int, window: int) -> tuple[int, int]:
         """Feasible issue-cycle interval given placed neighbours."""
+        tables = self._tables
+        schedule = self.schedule
+        ii = self.ii
         lb = 0
-        ub = lb + window
-        for e in self.dfg.in_edges(nid):
-            if e.src in self.schedule and not self.dfg.node(e.src).op.is_pseudo:
-                lat = self.dfg.node(e.src).op.latency
-                lb = max(lb, self.schedule[e.src] + lat - e.dist * self.ii)
-        ub = lb + window
-        for e in self.dfg.out_edges(nid):
-            if (
-                e.dst in self.schedule
-                and e.dst != nid
-                and not self.dfg.node(e.dst).op.is_pseudo
-            ):
-                lat = self.dfg.node(nid).op.latency
-                ub = min(
-                    ub,
-                    self.schedule[e.dst] + e.dist * self.ii - lat,
+        for src, e, _ in tables.ins[nid]:
+            if src in schedule:
+                lb = max(
+                    lb, schedule[src] + tables.latency[src] - e.dist * ii
                 )
+        ub = lb + window
+        lat = tables.latency[nid]
+        for dst, e, _ in tables.outs[nid]:
+            if dst in schedule:
+                ub = min(ub, schedule[dst] + e.dist * ii - lat)
         return lb, ub
 
     def neighbor_cells(self, nid: int) -> list[int]:

@@ -62,9 +62,9 @@ class DRESCMapper(Mapper):
     # ------------------------------------------------------------------
     def _cost(self, state: PlacementState) -> float:
         return (
-            UNROUTED_PENALTY * len(state.unrouted_edges())
+            UNROUTED_PENALTY * len(state.pending)
             + state.occ.pressure() * 0.01
-            + sum(len(p) for p in state.routes.values())
+            + state.route_len
         )
 
     def _initial(
@@ -144,7 +144,7 @@ class DRESCMapper(Mapper):
         state.begin_undo()
         while temp > self.t_end:
             for _ in range(self.moves_per_temp):
-                if cost == 0 or not state.unrouted_edges():
+                if cost == 0 or not state.pending:
                     mapping = state.to_mapping(self.info.name)
                     if not mapping.validate(raise_on_error=False):
                         return mapping
@@ -171,7 +171,7 @@ class DRESCMapper(Mapper):
                     tracer.count(BACKTRACKS)
                     state.undo_to(start)
             temp *= self.cooling
-        if state.unrouted_edges():
+        if state.pending:
             return None
         return state.to_mapping(self.info.name)
 

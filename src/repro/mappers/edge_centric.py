@@ -53,6 +53,9 @@ class EdgeCentricMapper(Mapper):
                 key=lambda c: sum(cgra.distance(a, c) for a in anchors)
             )
             # Probe slots: place, measure committed route cost, unplace.
+            # place routes only nid's edges and unplace drops them, so
+            # a probe's route cost is its growth of route_len over base.
+            base = state.route_len
             best: tuple[float, int, int] | None = None
             probes = 0
             for t in range(lb, ub + 1):
@@ -62,11 +65,7 @@ class EdgeCentricMapper(Mapper):
                     if not state.place(nid, cell, t):
                         continue
                     probes += 1
-                    cost = sum(
-                        len(state.routes[e])
-                        for e in state._routable_edges_of(nid)
-                        if e in state.routes
-                    ) + 0.1 * (t - lb)
+                    cost = state.route_len - base + 0.1 * (t - lb)
                     state.unplace(nid)
                     if best is None or cost < best[0]:
                         best = (cost, cell, t)

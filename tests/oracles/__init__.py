@@ -16,6 +16,10 @@ the equivalence suites hold the two to byte-identical results.
   :func:`repro.mappers.routecore.negotiate_spatial`;
 * :func:`revise_ac1` — the graph-minor mapper's AC-1 sweep, vs the
   AC-3 :func:`repro.mappers.adjplace.arc_consistent`;
+* :func:`unrouted_edges_scan` and :func:`route_len_scan` — full scans
+  of the DFG's edges and the routes, vs the pending-edge set and
+  running route length :class:`repro.mappers.construct.PlacementState`
+  keeps up to date move by move;
 * :class:`DPLLSolver` and :class:`DPLLSATMapper` — chronological DPLL
   and the fresh-encode-per-II SAT mapper on it, vs the incremental
   CDCL :class:`repro.solvers.sat.SatSolver` behind
@@ -27,6 +31,7 @@ directory themselves.
 """
 
 from oracles.adjplace import revise_ac1
+from oracles.placement import route_len_scan, unrouted_edges_scan
 from oracles.routing import DictOccupancy, ReferenceRouter, negotiate_reference
 from oracles.sat import DPLLSATMapper, DPLLSolver
 
@@ -37,4 +42,6 @@ __all__ = [
     "ReferenceRouter",
     "negotiate_reference",
     "revise_ac1",
+    "route_len_scan",
+    "unrouted_edges_scan",
 ]

@@ -4,7 +4,8 @@ A :class:`CGRA` is a set of :class:`~repro.arch.cell.Cell`\\ s plus a
 directed link set.  It answers the questions every mapper asks:
 
 * which cells can execute a given opcode (:meth:`CGRA.candidates`,
-  memoized per opcode via :meth:`CGRA.supporting_cells`),
+  memoized per opcode via :meth:`CGRA.supporting_cells`, and
+  :meth:`CGRA.cell_supports` for one cell),
 * which cells are adjacent (:meth:`CGRA.neighbors_out` /
   :meth:`CGRA.neighbors_in`),
 * how far apart two cells are (:meth:`CGRA.distance`, precomputed
@@ -142,6 +143,7 @@ class CGRA:
 
         self._dist: list[list[int]] | None = None
         self._support: dict[object, tuple[int, ...]] = {}
+        self._support_set: dict[object, frozenset[int]] = {}
         self._reach: list[list[int]] | None = None
 
     # ------------------------------------------------------------------
@@ -207,7 +209,17 @@ class CGRA:
                 c.cid for c in self.cells if c.supports(op)
             )
             self._support[op] = cached
+            self._support_set[op] = frozenset(cached)
         return cached
+
+    def cell_supports(self, cid: int, op: Op) -> bool:
+        """``self.cell(cid).supports(op)`` as one lookup in a per-opcode
+        set, memoized beside :meth:`supporting_cells`."""
+        cells = self._support_set.get(op)
+        if cells is None:
+            self.supporting_cells(op)
+            cells = self._support_set[op]
+        return cid in cells
 
     def candidates(self, op: Op) -> list[int]:
         """Cells whose FU can execute ``op``."""

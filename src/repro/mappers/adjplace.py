@@ -26,7 +26,9 @@ Solutions translate mechanically into validated mappings
 ``graph_minor`` and ``bnb`` share one search core over this model:
 :func:`arc_consistent` (AC-3) and :func:`dfs`, in which a candidate
 slot costs O(1) plus O(its edges to placed ops), however many ops are
-placed.  :func:`compatible` states the edge rule they both encode.
+placed.  The encoding mappers (sat, ilp, csp) read the edge relation
+from :func:`edge_supports`, tabulated once per II and insertion round.
+:func:`compatible` states the edge rule all of them encode.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "build_mapping",
     "compatible",
     "dfs",
+    "edge_supports",
     "insertion_tries",
     "real_edges",
     "slot_domains",
@@ -76,7 +79,7 @@ def slot_domains(
     for node in dfg.nodes():
         if node.op.is_pseudo:
             continue
-        cells = [c.cid for c in cgra.cells if c.supports(node.op)]
+        cells = cgra.supporting_cells(node.op)
         lo = t0[node.nid]
         domains[node.nid] = [
             (c, t) for t in range(lo, lo + win + 1) for c in cells
@@ -96,6 +99,40 @@ def compatible(
     if cu == cv:
         return True  # register-file holds bridge the gap
     return delta == 0 and cgra.has_link(cu, cv)
+
+
+def edge_supports(
+    dfg: DFG, cgra: CGRA, ii: int, domains: dict[int, list[Slot]]
+) -> list[tuple[Edge, list]]:
+    """:func:`compatible` tabulated over ``domains`` (distinct slots
+    per op): one ``(edge, table)`` per real edge, in order.  For
+    ``u -> v`` the table gives, per slot of ``u``, the ascending indices
+    of the slots of ``v`` it supports; for a self edge, one flag per
+    slot (may it feed itself?).  Rows read per-cell tables of ``v``'s
+    slots, as :func:`arc_consistent` does."""
+    tables = []
+    for e in real_edges(dfg):
+        off = e.dist * ii - dfg.node(e.src).op.latency
+        if e.src == e.dst:  # same slot, same cell: only the gap counts
+            tables.append((e, [off >= 0] * len(domains[e.src])))
+            continue
+        on_cell: dict[int, list[tuple[int, int]]] = {}
+        index: dict[Slot, int] = {}
+        for j, (c, t) in enumerate(domains[e.dst]):
+            on_cell.setdefault(c, []).append((t, j))
+            index[c, t] = j
+        rows = []
+        for c, t in domains[e.src]:
+            tv = t - off  # the cycle a wire read must fire
+            row = [j for tj, j in on_cell.get(c, ()) if tj >= tv]
+            row += [
+                index[m, tv] for m in cgra.neighbors_out(c)
+                if (m, tv) in index
+            ]
+            row.sort()
+            rows.append(row)
+        tables.append((e, rows))
+    return tables
 
 
 def arc_consistent(

@@ -273,7 +273,7 @@ class PlacementState:
         Atomic: on any failure the state is unchanged.
         """
         node = self.dfg.node(nid)
-        if t < 0 or not self.cgra.cell(cell).supports(node.op):
+        if t < 0 or not self.cgra.cell_supports(cell, node.op):
             return False
         if not self.occ.can_place_op(cell, t):
             return False
@@ -301,7 +301,7 @@ class PlacementState:
         part of the walk and are penalised by the cost function.
         """
         node = self.dfg.node(nid)
-        if t < 0 or not self.cgra.cell(cell).supports(node.op):
+        if t < 0 or not self.cgra.cell_supports(cell, node.op):
             return False
         if not self.occ.can_place_op(cell, t):
             return False

@@ -5,9 +5,10 @@ reconfigurable multimedia architecture as a constraint satisfaction
 problem and hand it to a CP solver.  Here the adjacency-placement
 model becomes a finite-domain CSP over this package's own solver
 (:mod:`repro.solvers.csp`): one variable per operation with
-``(cell, cycle)`` domains, binary edge-compatibility constraints, and
-pairwise FU-slot exclusivity — AC-3 plus MRV/forward-checking do the
-rest.
+``(cell, cycle)`` domains, one set-lookup constraint per edge read
+from :func:`repro.mappers.adjplace.edge_supports`, and folded FU-slot
+exclusivity as one all-different keyed on ``(cell, cycle mod II)`` —
+AC-3 plus MRV/forward-checking do the rest.
 """
 
 from __future__ import annotations
@@ -64,35 +65,23 @@ class CSPMapper(Mapper):
         for nid, dom in domains.items():
             csp.add_var(f"n{nid}", dom)
 
-        for e in adjplace.real_edges(dfg):
-            lat = dfg.node(e.src).op.latency
+        for e, rows in adjplace.edge_supports(dfg, cgra, ii, domains):
+            du = domains[e.src]
             if e.src == e.dst:
-                # Self-recurrence: slot must be compatible with itself.
-                csp.add_constraint(
-                    (f"n{e.src}",),
-                    lambda s, e=e, lat=lat: adjplace.compatible(
-                        cgra, ii, e, lat, s, s
-                    ),
-                )
+                # Self-recurrence: the slot must feed itself.
+                keep = {s for s, ok in zip(du, rows) if ok}
+                csp.add_constraint((f"n{e.src}",), keep.__contains__)
                 continue
+            dv = domains[e.dst]
+            sup = {su: {dv[j] for j in row} for su, row in zip(du, rows)}
             csp.add_constraint(
                 (f"n{e.src}", f"n{e.dst}"),
-                lambda su, sv, e=e, lat=lat: adjplace.compatible(
-                    cgra, ii, e, lat, su, sv
-                ),
+                lambda su, sv, sup=sup: sv in sup[su],
                 name=f"edge{e.src}->{e.dst}",
             )
-
-        nids = list(domains)
-        for i, a in enumerate(nids):
-            for b in nids[i + 1 :]:
-                csp.add_constraint(
-                    (f"n{a}", f"n{b}"),
-                    lambda sa, sb: not (
-                        sa[0] == sb[0] and sa[1] % ii == sb[1] % ii
-                    ),
-                    name=f"fu{a},{b}",
-                )
+        csp.add_all_different(
+            list(csp.domains), key=lambda s: (s[0], s[1] % ii)
+        )
 
         # Value-ordering warm start: a prior assignment (earlier II or
         # round) is tried first wherever its slots survive in the new

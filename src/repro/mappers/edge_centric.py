@@ -48,7 +48,7 @@ class EdgeCentricMapper(Mapper):
                 return None
             op = dfg.node(nid).op
             anchors = state.neighbor_cells(nid)
-            cells = [c.cid for c in cgra.cells if c.supports(op)]
+            cells = list(cgra.supporting_cells(op))
             cells.sort(
                 key=lambda c: sum(cgra.distance(a, c) for a in anchors)
             )

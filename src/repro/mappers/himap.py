@@ -93,11 +93,7 @@ class HiMapMapper(Mapper):
                         home.add(n)
             anchors = state.neighbor_cells(nid)
             ordered = sorted(
-                (
-                    c
-                    for c in range(state.cgra.n_cells)
-                    if state.cgra.cell(c).supports(op)
-                ),
+                state.cgra.supporting_cells(op),
                 key=lambda c: (
                     c not in home,
                     sum(state.cgra.distance(a, c) for a in anchors),

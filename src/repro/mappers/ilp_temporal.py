@@ -78,24 +78,18 @@ class ILPTemporalMapper(Mapper):
             if len(vs) > 1:
                 ilp.add_constraint({v: 1.0 for v in vs}, "<=", 1.0)
 
-        for e in adjplace.real_edges(dfg):
-            lat = dfg.node(e.src).op.latency
+        for e, rows in adjplace.edge_supports(dfg, cgra, ii, domains):
+            xu = [var[(e.src, s)] for s in domains[e.src]]
             if e.src == e.dst:
-                for s in domains[e.src]:
-                    if not adjplace.compatible(cgra, ii, e, lat, s, s):
-                        ilp.add_constraint(
-                            {var[(e.src, s)]: 1.0}, "<=", 0.0
-                        )
+                for x, keep in zip(xu, rows):
+                    if not keep:
+                        ilp.add_constraint({x: 1.0}, "<=", 0.0)
                 continue
-            for su in domains[e.src]:
-                support = {
-                    var[(e.dst, sv)]: 1.0
-                    for sv in domains[e.dst]
-                    if adjplace.compatible(cgra, ii, e, lat, su, sv)
-                }
-                coeffs = dict(support)
-                coeffs[var[(e.src, su)]] = -1.0
+            xv = [var[(e.dst, s)] for s in domains[e.dst]]
+            for x, row in zip(xu, rows):
                 # x[u, su] <= sum of compatible x[v, sv]
+                coeffs = {xv[j]: 1.0 for j in row}
+                coeffs[x] = -1.0
                 ilp.add_constraint(coeffs, ">=", 0.0)
 
         # Pure feasibility: any integral point proves the II, so the

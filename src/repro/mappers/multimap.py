@@ -49,9 +49,7 @@ def multi_map(
         def candidates(state: PlacementState, nid, lb, ub):
             op = state.dfg.node(nid).op
             anchors = state.neighbor_cells(nid)
-            cells = [
-                c.cid for c in state.cgra.cells if c.supports(op)
-            ]
+            cells = list(state.cgra.supporting_cells(op))
             rng.shuffle(cells)
             local = Counter(state.binding.values())
             # Fresh cells first (across maps AND within this map),

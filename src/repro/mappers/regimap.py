@@ -46,9 +46,7 @@ class RegimapMapper(Mapper):
             cgra_ = state.cgra
             op = state.dfg.node(nid).op
             anchors = state.neighbor_cells(nid)
-            cells = [
-                c.cid for c in cgra_.cells if c.supports(op)
-            ]
+            cells = list(cgra_.supporting_cells(op))
             # Producer cells first (registers!), then by distance.
             anchor_set = set(anchors)
 

@@ -137,7 +137,7 @@ class RLMapper(Mapper):
         cgra: CGRA,
         ii: int,
         order: list[int],
-        cand: dict[int, list[int]],
+        cand: dict[int, tuple[int, ...]],
         logits: dict[int, np.ndarray],
         rng: np.random.Generator,
         *,
@@ -205,11 +205,7 @@ class RLMapper(Mapper):
     ) -> Mapping | None:
         order = priority_order(dfg, by="height")
         cand = {
-            nid: [
-                c.cid for c in cgra.cells
-                if c.supports(dfg.node(nid).op)
-            ]
-            for nid in order
+            nid: cgra.supporting_cells(dfg.node(nid).op) for nid in order
         }
         if any(not cs for cs in cand.values()):
             return None

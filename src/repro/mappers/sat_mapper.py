@@ -100,34 +100,24 @@ class _IncrementalModel:
             if len(lits) > 1:
                 cnf.at_most_one(lits, guard=sel)
 
-        # Edge compatibility, implication form in both directions.
-        for e in adjplace.real_edges(dfg):
-            lat = dfg.node(e.src).op.latency
+        # Edge compatibility, implication form in both directions: the
+        # consumer side reads the producer rows transposed, which keeps
+        # each support list ascending.  No support forbids the slot.
+        for e, rows in adjplace.edge_supports(dfg, cgra, ii, domains):
+            xu = [var[(e.src, s)] for s in domains[e.src]]
             if e.src == e.dst:
-                for s in domains[e.src]:
-                    if not adjplace.compatible(cgra, ii, e, lat, s, s):
-                        cnf.add(-sel, -var[(e.src, s)])
+                for x, keep in zip(xu, rows):
+                    if not keep:
+                        cnf.add(-sel, -x)
                 continue
-            for su in domains[e.src]:
-                support = [
-                    var[(e.dst, sv)]
-                    for sv in domains[e.dst]
-                    if adjplace.compatible(cgra, ii, e, lat, su, sv)
-                ]
-                if support:
-                    cnf.implies_any(var[(e.src, su)], support, guard=sel)
-                else:
-                    cnf.add(-sel, -var[(e.src, su)])
-            for sv in domains[e.dst]:
-                support = [
-                    var[(e.src, su)]
-                    for su in domains[e.src]
-                    if adjplace.compatible(cgra, ii, e, lat, su, sv)
-                ]
-                if support:
-                    cnf.implies_any(var[(e.dst, sv)], support, guard=sel)
-                else:
-                    cnf.add(-sel, -var[(e.dst, sv)])
+            xv = [var[(e.dst, s)] for s in domains[e.dst]]
+            cols: list[list[int]] = [[] for _ in xv]
+            for x, row in zip(xu, rows):
+                cnf.implies_any(x, [xv[j] for j in row], guard=sel)
+                for j in row:
+                    cols[j].append(x)
+            for y, col in zip(xv, cols):
+                cnf.implies_any(y, col, guard=sel)
         return sel, var
 
 

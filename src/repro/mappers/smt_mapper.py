@@ -70,11 +70,7 @@ class _Skeleton:
         self.cnf = CNF()
         nodes = [n.nid for n in dfg.nodes() if not n.op.is_pseudo]
         cells = {
-            nid: [
-                c.cid for c in cgra.cells
-                if c.supports(dfg.node(nid).op)
-            ]
-            for nid in nodes
+            nid: cgra.supporting_cells(dfg.node(nid).op) for nid in nodes
         }
         if any(not cs for cs in cells.values()):
             self.ok = False

@@ -38,15 +38,13 @@ class UltraFastMapper(Mapper):
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         order = priority_order(dfg, by="topo")
-        # Static first-fit scan order: row-major, no per-op sorting.
-        scan = list(range(cgra.n_cells))
 
         def candidates(state: PlacementState, nid, lb, ub):
-            op = state.dfg.node(nid).op
+            # Static first-fit scan order: row-major, no per-op sorting.
+            cells = state.cgra.supporting_cells(state.dfg.node(nid).op)
             for t in range(lb, ub + 1):
-                for c in scan:
-                    if state.cgra.cell(c).supports(op):
-                        yield (c, t)
+                for c in cells:
+                    yield (c, t)
 
         return self.search(
             dfg, cgra, ii,

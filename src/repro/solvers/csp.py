@@ -2,21 +2,27 @@
 
 Backs the CP mapper (Table I "CSP -> CP", Raffin et al.).  Variables
 have explicit finite domains; constraints are predicates over variable
-scopes.  The solver runs:
+scopes, plus all-different groups.  The solver runs:
 
 * **AC-3** arc consistency as a preprocessing step (binary
-  constraints),
+  constraints and all-different groups),
 * backtracking search with **MRV** (minimum remaining values) variable
-  ordering, **least-constraining-value** ordering, and **forward
-  checking** over constraints whose scope is fully/almost assigned.
+  ordering, values in domain order (a hinted value first), and
+  **forward checking** of binary constraints and all-different groups
+  against the unassigned variables; other constraints are checked once
+  their scope is assigned.
 
-``AllDifferent`` gets a dedicated pruning rule (a value assigned to one
-variable leaves the domains of its peers).
+All-different groups get dedicated pruning instead of pairwise
+predicates.  A group may carry a ``key``: its variables then take
+values with pairwise distinct keys (the CP mapper keys slots by
+``(cell, cycle mod II)`` to state folded FU exclusivity once).  AC-3
+lets a variable whose domain holds a single key remove that key from
+its peers; forward checking, after the binary constraints, removes an
+assigned value's key from the peers' domains.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -58,7 +64,8 @@ class CSP:
         self.name = name
         self.domains: dict[str, list[Value]] = {}
         self.constraints: list[_Constraint] = []
-        self._alldiff_groups: list[list[str]] = []
+        # (scope, every domain value's key) per all-different group
+        self._alldiff_groups: list[tuple[list[str], dict]] = []
         self.stats_nodes = 0
 
     # ------------------------------------------------------------------
@@ -82,59 +89,27 @@ class CSP:
                 raise KeyError(f"unknown variable {v!r}")
         self.constraints.append(_Constraint(tuple(scope), pred, name))
 
-    def add_all_different(self, scope: Sequence[str]) -> None:
-        """All variables in ``scope`` take pairwise distinct values."""
+    def add_all_different(
+        self,
+        scope: Sequence[str],
+        key: Callable[[Value], Hashable] | None = None,
+    ) -> None:
+        """All variables in ``scope`` take pairwise distinct values, or
+        values with pairwise distinct ``key(value)`` when given."""
         for v in scope:
             if v not in self.domains:
                 raise KeyError(f"unknown variable {v!r}")
-        self._alldiff_groups.append(list(scope))
-
-    # ------------------------------------------------------------------
-    def _ac3(self, domains: dict[str, list[Value]]) -> bool:
-        """Arc consistency over binary constraints; False if wiped out."""
-        binary = [c for c in self.constraints if len(c.scope) == 2]
-        if not binary:
-            return True
-        arcs: list[tuple[str, str, _Constraint]] = []
-        for c in binary:
-            x, y = c.scope
-            arcs.append((x, y, c))
-            arcs.append((y, x, c))
-        queue = list(arcs)
-        neighbours: dict[str, list[tuple[str, str, _Constraint]]] = {}
-        for arc in arcs:
-            neighbours.setdefault(arc[1], []).append(arc)
-
-        def consistent(c: _Constraint, x: str, vx: Value, y: str, vy: Value):
-            if c.scope == (x, y):
-                return c.pred(vx, vy)
-            return c.pred(vy, vx)
-
-        while queue:
-            x, y, c = queue.pop()
-            revised = False
-            keep = []
-            for vx in domains[x]:
-                if any(consistent(c, x, vx, y, vy) for vy in domains[y]):
-                    keep.append(vx)
-                else:
-                    revised = True
-            if revised:
-                domains[x] = keep
-                if not keep:
-                    return False
-                queue.extend(
-                    a for a in neighbours.get(x, []) if a[0] != y
-                )
-        return True
+        keyof = {
+            v: v if key is None else key(v)
+            for u in scope for v in self.domains[u]
+        }
+        self._alldiff_groups.append((list(scope), keyof))
 
     # ------------------------------------------------------------------
     def solve(
         self,
         *,
         node_limit: int = 1_000_000,
-        time_limit: float | None = None,
-        use_ac3: bool = True,
         value_hints: dict[str, Value] | None = None,
     ) -> dict[str, Value]:
         """Find one solution; raises :class:`CSPUnsat` / :class:`CSPTimeout`.
@@ -150,12 +125,7 @@ class CSP:
         """
         tracer = get_tracer()
         if not tracer.enabled:
-            return self._solve_impl(
-                node_limit=node_limit,
-                time_limit=time_limit,
-                use_ac3=use_ac3,
-                value_hints=value_hints,
-            )
+            return self._solve_impl(node_limit, value_hints)
         with tracer.span(
             "csp_solve",
             model=self.name,
@@ -163,12 +133,7 @@ class CSP:
             constraints=len(self.constraints),
         ) as span:
             try:
-                solution = self._solve_impl(
-                    node_limit=node_limit,
-                    time_limit=time_limit,
-                    use_ac3=use_ac3,
-                    value_hints=value_hints,
-                )
+                solution = self._solve_impl(node_limit, value_hints)
             except CSPUnsat:
                 span.tag(status="unsat")
                 raise
@@ -182,82 +147,75 @@ class CSP:
                 span.count(SOLVER_NODES, self.stats_nodes)
 
     def _solve_impl(
-        self,
-        *,
-        node_limit: int,
-        time_limit: float | None,
-        use_ac3: bool,
-        value_hints: dict[str, Value] | None = None,
+        self, node_limit: int, value_hints: dict[str, Value] | None
     ) -> dict[str, Value]:
         self.stats_nodes = 0
+        # Per variable: binary constraints as (other, pred, is this
+        # variable pred's first argument), all-different groups as
+        # (peers, key table), and the constraints check() tests.
+        pairs: dict[str, list] = {v: [] for v in self.domains}
+        groups: dict[str, list] = {v: [] for v in self.domains}
+        others: dict[str, list] = {v: [] for v in self.domains}
+        for c in self.constraints:
+            if len(c.scope) == 2 and c.scope[0] != c.scope[1]:
+                x, y = c.scope
+                pairs[x].append((y, c.pred, True))
+                pairs[y].append((x, c.pred, False))
+            else:
+                for v in dict.fromkeys(c.scope):
+                    others[v].append(c)
+        for scope, keyof in self._alldiff_groups:
+            for v in scope:
+                groups[v].append(([u for u in scope if u != v], keyof))
         domains = {v: list(d) for v, d in self.domains.items()}
-        if use_ac3 and not self._ac3(domains):
+        if not _ac3(domains, pairs, groups):
             raise CSPUnsat(f"{self.name}: AC-3 wiped out a domain")
-
-        self.stats_nodes = 0
-        t0 = time.perf_counter()
         assignment: dict[str, Value] = {}
 
-        by_var: dict[str, list[_Constraint]] = {v: [] for v in domains}
-        for c in self.constraints:
-            for v in c.scope:
-                by_var[v].append(c)
-        diff_peers: dict[str, list[str]] = {v: [] for v in domains}
-        for group in self._alldiff_groups:
-            for v in group:
-                diff_peers[v].extend(u for u in group if u != v)
-
         def check(var: str, val: Value) -> bool:
-            """Constraints on ``var`` whose scope is now fully assigned."""
-            for c in by_var[var]:
-                vals = []
-                ok = True
-                for u in c.scope:
-                    if u == var:
-                        vals.append(val)
-                    elif u in assignment:
-                        vals.append(assignment[u])
-                    else:
-                        ok = False
-                        break
-                if ok and not c.pred(*vals):
-                    return False
-            for peer in diff_peers[var]:
-                if assignment.get(peer) == val:
-                    return False
+            """The constraints not forward-checked, once all assigned."""
+            for c in others[var]:
+                if all(u == var or u in assignment for u in c.scope):
+                    vals = [val if u == var else assignment[u] for u in c.scope]
+                    if not c.pred(*vals):
+                        return False
             return True
+
+        def prune(pruned, u: str, bad: list[Value]) -> bool:
+            """Add ``bad`` to ``u``'s pruned values (in domain order,
+            first pruning first); False if that wipes ``u`` out."""
+            removed = pruned.get(u)
+            if removed is None:
+                pruned[u] = removed = bad
+            else:
+                removed += [v for v in bad if v not in removed]
+            return len(removed) < len(domains[u])
 
         def forward(var: str, val: Value) -> dict[str, list[Value]] | None:
             """Prune future domains; None on wipe-out."""
             pruned: dict[str, list[Value]] = {}
-            # AllDifferent pruning.
-            for peer in diff_peers[var]:
-                if peer in assignment:
+            for other, pred, first in pairs[var]:
+                if other in assignment:
                     continue
-                if val in domains[peer]:
-                    pruned.setdefault(peer, []).append(val)
-            # Binary-constraint forward checking.
-            for c in by_var[var]:
-                if len(c.scope) != 2:
-                    continue
-                other = c.scope[0] if c.scope[1] == var else c.scope[1]
-                if other in assignment or other == var:
-                    continue
-                for vo in domains[other]:
-                    if vo in pruned.get(other, []):
-                        continue
-                    args = (
-                        (val, vo) if c.scope[0] == var else (vo, val)
-                    )
-                    if not c.pred(*args):
-                        pruned.setdefault(other, []).append(vo)
-            for u, removed in pruned.items():
-                if len(removed) == len(domains[u]):
+                if first:
+                    bad = [vo for vo in domains[other] if not pred(val, vo)]
+                else:
+                    bad = [vo for vo in domains[other] if not pred(vo, val)]
+                if bad and not prune(pruned, other, bad):
                     return None
+            # All-different after the binary constraints: undo restores
+            # pruned values in pruning order, which orders later searches.
+            for peers, keyof in groups[var]:
+                k = keyof[val]
+                for peer in peers:
+                    if peer in assignment:
+                        continue
+                    bad = [vo for vo in domains[peer] if keyof[vo] == k]
+                    if bad and not prune(pruned, peer, bad):
+                        return None
             for u, removed in pruned.items():
-                dom = domains[u]
-                for r in removed:
-                    dom.remove(r)
+                gone = set(removed)
+                domains[u] = [v for v in domains[u] if v not in gone]
             return pruned
 
         def undo(pruned: dict[str, list[Value]]) -> None:
@@ -265,21 +223,16 @@ class CSP:
                 domains[u].extend(removed)
 
         def select_var() -> str | None:
-            best = None
-            best_size = None
-            for v, dom in domains.items():
-                if v in assignment:
-                    continue
-                if best_size is None or len(dom) < best_size:
-                    best, best_size = v, len(dom)
-            return best
+            """The first unassigned variable of smallest domain."""
+            return min(
+                (v for v in domains if v not in assignment),
+                key=lambda v: len(domains[v]), default=None,
+            )
 
         def backtrack() -> bool:
             self.stats_nodes += 1
             if self.stats_nodes > node_limit:
                 raise CSPTimeout(f"{self.name}: node limit")
-            if time_limit is not None and time.perf_counter() - t0 > time_limit:
-                raise CSPTimeout(f"{self.name}: time limit")
             var = select_var()
             if var is None:
                 return True
@@ -304,3 +257,38 @@ class CSP:
         if backtrack():
             return dict(assignment)
         raise CSPUnsat(f"{self.name}: exhausted search space")
+
+
+def _ac3(domains, pairs, groups) -> bool:
+    """Revise ``domains`` in place to the arc-consistent closure of the
+    binary constraints and all-different groups (a peer left with one
+    key takes it from the others); False if a domain is wiped out.
+    Revision only filters, so the closure is unique and keeps each
+    domain's order, whatever the revision order."""
+    queue = dict.fromkeys(domains)  # an ordered set
+    while queue:
+        x, _ = queue.popitem()
+        keep = [
+            vx for vx in domains[x]
+            if all(
+                any(pred(vx, vy) if first else pred(vy, vx)
+                    for vy in domains[y])
+                for y, pred, first in pairs[x]
+            )
+        ]
+        for peers, keyof in groups[x]:
+            for y in peers:
+                keys = {keyof[v] for v in domains[y]}
+                if len(keys) == 1:
+                    k = keys.pop()
+                    keep = [v for v in keep if keyof[v] != k]
+        if len(keep) == len(domains[x]):
+            continue
+        if not keep:
+            return False
+        domains[x] = keep
+        queue.update(dict.fromkeys(y for y, _, _ in pairs[x]))
+        for peers, keyof in groups[x]:
+            if len({keyof[v] for v in keep}) == 1:  # x now holds one key
+                queue.update(dict.fromkeys(peers))
+    return True

@@ -82,6 +82,17 @@ def test_candidates_respect_heterogeneity():
     assert not set(add_cells) & set(load_cells)  # MEM cells have no ALU
 
 
+@pytest.mark.parametrize("name", ["simple4x4", "adres4x4", "hetero4x4"])
+def test_cell_supports_matches_cell_and_supporting_cells(name):
+    cgra = presets.by_name(name)
+    for op in Op:
+        assert [
+            c for c in range(cgra.n_cells) if cgra.cell_supports(c, op)
+        ] == list(cgra.supporting_cells(op))
+        for c in range(cgra.n_cells):
+            assert cgra.cell_supports(c, op) == cgra.cell(c).supports(op)
+
+
 def test_memory_cells_left_column_preset():
     cgra = presets.simple_cgra(4, 4, mem_cells="left")
     assert cgra.memory_cells() == [0, 4, 8, 12]

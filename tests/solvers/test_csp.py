@@ -170,3 +170,43 @@ def test_value_hints_do_not_break_completeness():
     csp.add_constraint(("x", "y"), lambda x, y: x + y == 4)
     sol = csp.solve(value_hints={"x": 0, "y": 0})  # 0+0 != 4
     assert sol["x"] + sol["y"] == 4
+
+
+def _mod3(v):
+    return v % 3
+
+
+def test_keyed_all_different():
+    csp = CSP()
+    for v in "abc":
+        csp.add_var(v, range(9))
+    csp.add_all_different(["a", "b", "c"], key=_mod3)
+    csp.add_constraint(("a", "b"), lambda a, b: a < b)
+    sol = csp.solve()
+    assert len({sol[v] % 3 for v in "abc"}) == 3
+    assert sol["a"] < sol["b"]
+
+
+def test_keyed_all_different_unsat():
+    """Distinct values are not enough: three values, two keys."""
+    csp = CSP()
+    for v in "abc":
+        csp.add_var(v, [0, 1, 3, 4])
+    csp.add_all_different(["a", "b", "c"], key=_mod3)
+    with pytest.raises(CSPUnsat, match="exhausted"):
+        csp.solve()
+
+
+def test_keyed_all_different_singleton_key_pruned_by_ac3():
+    """A domain left with one key takes it from its peers before the
+    search starts, and the pruning cascades: a's key 0 leaves b only
+    key 1, which leaves c nothing."""
+    csp = CSP()
+    csp.add_var("a", [0, 3])
+    csp.add_var("b", [1, 6])
+    csp.add_var("c", [1, 4, 9])
+    csp.add_all_different(["a", "b", "c"], key=_mod3)
+    with pytest.raises(CSPUnsat, match="AC-3"):
+        csp.solve()
+    assert csp.stats_nodes == 0
+

@@ -21,7 +21,7 @@ default 4x4s raise the op ceiling so big arrays still see contention
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.arch import presets
 from repro.arch.cgra import CGRA
@@ -37,7 +37,6 @@ __all__ = [
     "case_inputs",
     "generate_case",
     "restrict_inputs",
-    "with_mapper",
 ]
 
 GENERATOR_FAMILIES = ("layered", "layered_alu", "series_parallel", "recurrent")
@@ -213,8 +212,3 @@ def restrict_inputs(
         n.name for n in dfg.nodes() if n.op is Op.INPUT and n.name
     }
     return {k: v for k, v in inputs.items() if k in names}
-
-
-def with_mapper(case: Case, mapper: str) -> Case:
-    """The same problem instance checked through a different mapper."""
-    return replace(case, mapper=mapper)

@@ -100,6 +100,11 @@ class Mapper(abc.ABC):
     ) -> Mapping:
         """Produce a validated mapping or raise :class:`MapFailure`.
 
+        A fresh result is validated in :meth:`first_valid`, the attempt
+        loop every mapper returns through (``portfolio`` returns an
+        entrant's), a cached one by :meth:`repro.cache.MappingCache.get`
+        as it loads.
+
         When tracing is enabled (:func:`repro.obs.tracing`) the call
         runs under a root span named ``map`` and the resulting
         :attr:`Mapping.trace` carries that span tree.
@@ -187,26 +192,37 @@ class Mapper(abc.ABC):
         tries: Callable[[int], Iterable[Mapping | None]],
         failure: str | Callable[[], str],
     ) -> Mapping:
-        """The modulo mappers' shared II-escalation loop.
+        """II escalation: :meth:`first_valid` over ``tries(ii)`` for
+        each II from :func:`ii_range` in turn."""
+        return self.first_valid(
+            (m for ii_try in ii_range(dfg, cgra, ii) for m in tries(ii_try)),
+            failure,
+        )
 
-        For each II from :func:`ii_range`, ``tries(ii)`` yields one
-        candidate mapping per attempt, or ``None`` for an attempt that
-        found nothing.  The first candidate that validates is returned;
-        an invalid one counts as a failed attempt.  When the IIs run
+    def first_valid(
+        self,
+        attempts: Iterable[Mapping | None],
+        failure: str | Callable[[], str],
+    ) -> Mapping:
+        """Return the first candidate of ``attempts`` that validates.
+
+        ``attempts`` yields one candidate mapping per attempt, or
+        ``None`` for an attempt that found nothing; an invalid
+        candidate counts as a failed attempt.  Every mapper's fresh
+        result leaves through this one check.  When the attempts run
         out, raises :meth:`fail` with ``failure`` (called first when it
         is callable, so the message can report what the search saw)
         and the number of attempts.
         """
-        attempts = 0
-        for ii_try in ii_range(dfg, cgra, ii):
-            for mapping in tries(ii_try):
-                attempts += 1
-                if mapping is not None and not mapping.validate(
-                    raise_on_error=False
-                ):
-                    return mapping
+        n = 0
+        for mapping in attempts:
+            n += 1
+            if mapping is not None and not mapping.validate(
+                raise_on_error=False
+            ):
+                return mapping
         message = failure() if callable(failure) else failure
-        raise self.fail(message, attempts=attempts)
+        raise self.fail(message, attempts=n)
 
     def fail(self, message: str, attempts: int = 0) -> MapFailure:
         """Build a MapFailure tagged with this mapper's name."""

@@ -26,9 +26,9 @@ Solutions translate mechanically into validated mappings
 ``graph_minor`` and ``bnb`` share one search core over this model:
 :func:`arc_consistent` (AC-3) and :func:`dfs`, in which a candidate
 slot costs O(1) plus O(its edges to placed ops), however many ops are
-placed.  The encoding mappers (sat, ilp, csp) read the edge relation
-from :func:`edge_supports`, tabulated once per II and insertion round.
-:func:`compatible` states the edge rule all of them encode.
+placed.  The encoding mappers (sat, ilp, csp) read the edge rule
+above from :func:`edge_supports`, their one statement of it, tabulated
+once per II and insertion round.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "Slot",
     "arc_consistent",
     "build_mapping",
-    "compatible",
     "dfs",
     "edge_supports",
     "insertion_tries",
@@ -87,25 +86,11 @@ def slot_domains(
     return domains
 
 
-def compatible(
-    cgra: CGRA, ii: int, e: Edge, lat: int, su: Slot, sv: Slot
-) -> bool:
-    """May edge ``e`` connect producer slot ``su`` to consumer ``sv``?"""
-    cu, tu = su
-    cv, tv = sv
-    delta = tv + e.dist * ii - tu - lat
-    if delta < 0:
-        return False
-    if cu == cv:
-        return True  # register-file holds bridge the gap
-    return delta == 0 and cgra.has_link(cu, cv)
-
-
 def edge_supports(
     dfg: DFG, cgra: CGRA, ii: int, domains: dict[int, list[Slot]]
 ) -> list[tuple[Edge, list]]:
-    """:func:`compatible` tabulated over ``domains`` (distinct slots
-    per op): one ``(edge, table)`` per real edge, in order.  For
+    """The edge rule tabulated over ``domains`` (distinct slots per
+    op): one ``(edge, table)`` per real edge, in order.  For
     ``u -> v`` the table gives, per slot of ``u``, the ascending indices
     of the slots of ``v`` it supports; for a self edge, one flag per
     slot (may it feed itself?).  Rows read per-cell tables of ``v``'s

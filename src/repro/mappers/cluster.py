@@ -518,84 +518,72 @@ class ClusteredSpatialMapper(Mapper):
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         tracer = get_tracer()
-        nodes = [n.nid for n in dfg.nodes() if not n.op.is_pseudo]
-        if len(nodes) > cgra.n_cells:
+        n_ops = dfg.op_count()
+        if n_ops > cgra.n_cells:
             raise self.fail(
-                f"{dfg.name} has {len(nodes)} ops for"
+                f"{dfg.name} has {n_ops} ops for"
                 f" {cgra.n_cells} cells — cannot map spatially"
             )
         rng = random.Random(self.seed)
         with tracer.span("partition"):
             capacity = max(1, self.region * self.region)
             clusters = partition(dfg, capacity)
-        n_channels = len(channel_columns(cgra, len(nodes)))
-        attempts = 0
-        for r in range(self.restarts):
-            attempts += 1
-            # seed_binding is deterministic, so a bare retry would
-            # replay the exact corridor set that just failed.  Each
-            # restart concedes one channel column back to placement:
-            # a structurally over-subscribed corridor configuration
-            # is loosened instead of re-attempted verbatim.
-            channels = channel_columns(
-                cgra, len(nodes), cap=n_channels - r
-            )
-            with tracer.span("restart", n=r):
-                with tracer.span("global_place"):
-                    binding = self.seed_binding(
-                        dfg, cgra, clusters, channels=channels
-                    )
-                if binding is None:
-                    raise self.fail(
-                        f"{dfg.name} does not fit spatially on"
-                        f" {cgra.name}",
-                        attempts=attempts,
-                    )
-                ev = DeltaCost(dfg, cgra)
-                cells = ev.new_cells(binding)
-                _, seed_failed = route_spatial_partial(
-                    dfg, cgra, binding
+        n_channels = len(channel_columns(cgra, n_ops))
+        # seed_binding is deterministic, so a bare retry would replay
+        # the exact corridor set that just failed.  Each restart
+        # concedes one channel column back to placement: a
+        # structurally over-subscribed corridor configuration is
+        # loosened instead of re-attempted verbatim.
+        return self.first_valid(
+            (
+                self._restart(dfg, cgra, clusters, rng, r, n_channels - r)
+                for r in range(self.restarts)
+            ),
+            f"routing failed after {self.restarts} two-phase restarts",
+        )
+
+    def _restart(
+        self, dfg: DFG, cgra: CGRA, clusters: list[list[int]],
+        rng: random.Random, r: int, cap: int,
+    ) -> Mapping | None:
+        """Restart ``r``: seed, refine and route one placement, keeping
+        at most ``cap`` routing-channel columns free."""
+        tracer = get_tracer()
+        channels = channel_columns(cgra, dfg.op_count(), cap=cap)
+        with tracer.span("restart", n=r):
+            with tracer.span("global_place"):
+                binding = self.seed_binding(
+                    dfg, cgra, clusters, channels=channels
                 )
-                seed_snap = list(cells)
-                with tracer.span("refine"):
-                    self.refine(ev, cells, rng, channels=channels)
-                    tracer.progress(
-                        "cluster.cost", ev.total(cells)
-                    )
-                # The annealer optimises wirelength, which is only a
-                # proxy for routability; if the polish left *more*
-                # edges unroutable than the analytical seed, the seed
-                # was the better start for repair — fall back to it.
-                _, ref_failed = route_spatial_partial(
-                    dfg,
-                    cgra,
-                    {nid: cells[i] for i, nid in enumerate(ev.nodes)},
+            if binding is None:
+                raise self.fail(
+                    f"{dfg.name} does not fit spatially on {cgra.name}",
+                    attempts=r + 1,
                 )
-                if len(ref_failed) > len(seed_failed):
-                    cells[:] = seed_snap
-                with tracer.span("route"):
-                    routed = self._route(
-                        dfg, cgra, ev, cells, rng, channels
-                    )
-            if routed is None:
-                _log.warning(
-                    "cluster: routing failed on restart %d/%d",
-                    r + 1, self.restarts,
-                )
-                continue
-            binding, routes = routed
-            mapping = Mapping(
+            ev = DeltaCost(dfg, cgra)
+            cells = ev.new_cells(binding)
+            _, seed_failed = route_spatial_partial(dfg, cgra, binding)
+            seed_snap = list(cells)
+            with tracer.span("refine"):
+                self.refine(ev, cells, rng, channels=channels)
+                tracer.progress("cluster.cost", ev.total(cells))
+            # The annealer optimises wirelength, which is only a proxy
+            # for routability; if the polish left *more* edges
+            # unroutable than the analytical seed, the seed was the
+            # better start for repair — fall back to it.
+            _, ref_failed = route_spatial_partial(
                 dfg,
                 cgra,
-                kind="spatial",
-                binding=binding,
-                routes=routes,
-                mapper=self.info.name,
+                {nid: cells[i] for i, nid in enumerate(ev.nodes)},
             )
-            if not mapping.validate(raise_on_error=False):
-                return mapping
-        raise self.fail(
-            f"routing failed after {self.restarts} two-phase"
-            " restarts",
-            attempts=attempts,
+            if len(ref_failed) > len(seed_failed):
+                cells[:] = seed_snap
+            with tracer.span("route"):
+                routed = self._route(dfg, cgra, ev, cells, rng, channels)
+        if routed is None:
+            return None
+        binding, routes = routed
+        return Mapping(
+            dfg, cgra, kind="spatial", binding=binding, routes=routes,
+            mapper=self.info.name,
         )

@@ -159,9 +159,7 @@ class GenMapMapper(Mapper):
             pop = nxt
 
         assert best is not None
-        mapping = finalize(dfg, cgra, best[1], self.info.name)
-        if mapping is None:
-            raise self.fail(
-                f"best individual (fitness {best[0]:.1f}) is unroutable"
-            )
-        return mapping
+        return self.first_valid(
+            [finalize(dfg, cgra, best[1], self.info.name)],
+            f"best individual (fitness {best[0]:.1f}) is unroutable",
+        )

@@ -10,6 +10,8 @@ drawing order, and finishes with a greedy local-improvement pass.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import networkx as nx
 
 from repro.arch.cgra import CGRA
@@ -44,7 +46,7 @@ class GraphDrawingMapper(Mapper):
         super().__init__(seed)
         self.improve_passes = improve_passes
 
-    def _layout(self, dfg: DFG) -> dict[int, tuple[float, float]]:
+    def _layout(self, dfg: DFG, seed: int) -> dict[int, tuple[float, float]]:
         g = nx.Graph()
         nodes = [n.nid for n in dfg.nodes() if not n.op.is_pseudo]
         g.add_nodes_from(nodes)
@@ -53,7 +55,7 @@ class GraphDrawingMapper(Mapper):
                 g.add_edge(e.src, e.dst)
         if len(nodes) == 1:
             return {nodes[0]: (0.5, 0.5)}
-        pos = nx.spring_layout(g, seed=self.seed, iterations=120)
+        pos = nx.spring_layout(g, seed=seed, iterations=120)
         xs = [p[0] for p in pos.values()]
         ys = [p[1] for p in pos.values()]
         w = max(xs) - min(xs) or 1.0
@@ -116,22 +118,25 @@ class GraphDrawingMapper(Mapper):
                 break
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
-        pos = self._layout(dfg)
-        binding = self._snap(dfg, cgra, pos)
+        return self.first_valid(
+            self._drawings(dfg, cgra), "legalised drawing is unroutable"
+        )
+
+    def _drawings(self, dfg: DFG, cgra: CGRA) -> Iterator[Mapping | None]:
+        """The drawing at ``self.seed``, then one jittered retry that
+        re-seeds the embedding (``self.seed + 1``)."""
+        binding = self._snap(dfg, cgra, self._layout(dfg, self.seed))
         if binding is None:
             raise self.fail(
                 f"{dfg.name} does not fit spatially on {cgra.name}"
             )
+        yield self._finish(dfg, cgra, binding)
+        binding = self._snap(dfg, cgra, self._layout(dfg, self.seed + 1))
+        yield None if binding is None else self._finish(dfg, cgra, binding)
+
+    def _finish(
+        self, dfg: DFG, cgra: CGRA, binding: dict[int, int]
+    ) -> Mapping | None:
+        """Improve the snapped binding, then route it."""
         self._improve(dfg, cgra, binding)
-        mapping = finalize(dfg, cgra, binding, self.info.name)
-        if mapping is None:
-            # One jittered retry: re-seed the embedding.
-            self.seed += 1
-            pos = self._layout(dfg)
-            binding = self._snap(dfg, cgra, pos)
-            if binding is not None:
-                self._improve(dfg, cgra, binding)
-                mapping = finalize(dfg, cgra, binding, self.info.name)
-        if mapping is None:
-            raise self.fail("legalised drawing is unroutable")
-        return mapping
+        return finalize(dfg, cgra, binding, self.info.name)

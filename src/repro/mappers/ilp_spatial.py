@@ -16,6 +16,7 @@ model means preferring same-cell self-edges and tight clusters.
 from __future__ import annotations
 
 import logging
+from typing import Iterator
 
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
@@ -115,10 +116,16 @@ class ILPSpatialMapper(Mapper):
         return binding
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
+        return self.first_valid(
+            self._rounds(dfg, cgra),
+            f"ILP proved spatial binding infeasible on {cgra.name}"
+            f" (within {self.max_route_rounds} route rounds)",
+        )
+
+    def _rounds(self, dfg: DFG, cgra: CGRA) -> Iterator[Mapping | None]:
+        """One candidate per ROUTE-insertion round."""
         tracer = get_tracer()
-        attempts = 0
         for rounds in range(self.max_route_rounds + 1):
-            attempts += 1
             if rounds:
                 _log.warning(
                     "ilp_spatial: adjacency model infeasible for %s,"
@@ -127,20 +134,17 @@ class ILPSpatialMapper(Mapper):
                 )
             work = dfg if rounds == 0 else split_dist0_edges(dfg, rounds)
             if work.op_count() > len(cgra.compute_cells()):
-                break  # further insertion cannot fit spatially
+                # Further insertion cannot fit spatially; the round
+                # still counts as an attempt.
+                yield None
+                return
+            mapping = None
             with tracer.span(
                 "route_round", round=rounds, ops=work.op_count()
             ):
                 tracer.count(CANDIDATES_EXPLORED, work.op_count())
                 binding = self._solve(work, cgra)
-                if binding is None:
-                    continue
-                tracer.count(ROUTING_ATTEMPTS)
-                mapping = finalize(work, cgra, binding, self.info.name)
-            if mapping is not None:
-                return mapping
-        raise self.fail(
-            f"ILP proved spatial binding infeasible on {cgra.name}"
-            f" (within {self.max_route_rounds} route rounds)",
-            attempts=attempts,
-        )
+                if binding is not None:
+                    tracer.count(ROUTING_ATTEMPTS)
+                    mapping = finalize(work, cgra, binding, self.info.name)
+            yield mapping

@@ -144,9 +144,7 @@ class QEAMapper(Mapper):
 
         if best is None:
             raise self.fail("no injective binding could be observed")
-        mapping = finalize(dfg, cgra, best[1], self.info.name)
-        if mapping is None:
-            raise self.fail(
-                f"best observation (fitness {best[0]:.1f}) is unroutable"
-            )
-        return mapping
+        return self.first_valid(
+            [finalize(dfg, cgra, best[1], self.info.name)],
+            f"best observation (fitness {best[0]:.1f}) is unroutable",
+        )

@@ -9,7 +9,6 @@ geometrically, and route at the end (with a few restarts).
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 
@@ -33,8 +32,6 @@ from repro.obs.tracer import (
 )
 
 __all__ = ["SimulatedAnnealingSpatialMapper"]
-
-_log = logging.getLogger("repro.mappers.sa_spatial")
 
 
 @register
@@ -138,27 +135,23 @@ class SimulatedAnnealingSpatialMapper(Mapper):
         return binding
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
-        tracer = get_tracer()
         rng = random.Random(self.seed)
-        attempts = 0
-        for r in range(self.restarts):
-            attempts += 1
-            with tracer.span("restart", n=r):
-                binding = self._anneal(dfg, cgra, rng)
-                if binding is None:
-                    raise self.fail(
-                        f"{dfg.name} does not fit spatially on {cgra.name}",
-                        attempts=attempts,
-                    )
-                tracer.count(ROUTING_ATTEMPTS)
-                mapping = finalize(dfg, cgra, binding, self.info.name)
-            if mapping is not None:
-                return mapping
-            _log.warning(
-                "sa_spatial: routing failed on restart %d/%d, retrying",
-                r + 1, self.restarts,
-            )
-        raise self.fail(
+        return self.first_valid(
+            (self._restart(dfg, cgra, rng, r) for r in range(self.restarts)),
             f"routing failed after {self.restarts} annealing restarts",
-            attempts=attempts,
         )
+
+    def _restart(
+        self, dfg: DFG, cgra: CGRA, rng: random.Random, r: int
+    ) -> Mapping | None:
+        """Restart ``r``: anneal a fresh binding and route it."""
+        tracer = get_tracer()
+        with tracer.span("restart", n=r):
+            binding = self._anneal(dfg, cgra, rng)
+            if binding is None:
+                raise self.fail(
+                    f"{dfg.name} does not fit spatially on {cgra.name}",
+                    attempts=r + 1,
+                )
+            tracer.count(ROUTING_ATTEMPTS)
+            return finalize(dfg, cgra, binding, self.info.name)

@@ -10,8 +10,9 @@ execution.
 :func:`route_spatial` performs that routing (BFS per edge, longest
 edges first, fan-out shares allowed); :func:`spatial_cost` is the
 wirelength + congestion objective the meta-heuristics minimise;
-:func:`finalize` bundles binding + routing into a validated
-:class:`~repro.core.mapping.Mapping`.
+:func:`finalize` bundles binding + routing into a candidate
+:class:`~repro.core.mapping.Mapping` for the mapper's attempt loop
+(:meth:`~repro.core.mapper.Mapper.first_valid`), which validates it.
 """
 
 from __future__ import annotations
@@ -241,11 +242,13 @@ def route_spatial(
 def finalize(
     dfg: DFG, cgra: CGRA, binding: dict[int, int], mapper: str
 ) -> Mapping | None:
-    """Route the binding and return a valid Mapping, or None."""
+    """Route the binding into a candidate Mapping; None if it does not
+    route.  Validation is the caller's attempt loop's
+    (:meth:`repro.core.mapper.Mapper.first_valid`)."""
     routes = route_spatial(dfg, cgra, binding)
     if routes is None:
         return None
-    mapping = Mapping(
+    return Mapping(
         dfg,
         cgra,
         kind="spatial",
@@ -253,6 +256,3 @@ def finalize(
         routes=routes,
         mapper=mapper,
     )
-    if mapping.validate(raise_on_error=False):
-        return None
-    return mapping

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.obs.export import _roots_of
 from repro.obs.progress import ProgressSeries
 from repro.obs.tracer import Span, Tracer
 
@@ -28,15 +29,6 @@ _PLOT_HEIGHT = 8
 
 #: Plots rendered per profile before summarising the rest.
 _MAX_PLOTS = 6
-
-
-def _roots_of(source: Tracer | Span | Sequence[Span]) -> list[Span]:
-    if isinstance(source, Span):
-        return [source]
-    roots = getattr(source, "roots", None)
-    if roots is not None:
-        return list(roots)
-    return list(source)
 
 
 def _fmt_tags(span: Span) -> str:

@@ -124,10 +124,6 @@ class CNF:
         """a -> b."""
         self.add(-a, b)
 
-    def implies_all(self, a: int, bs: list[int]) -> None:
-        for b in bs:
-            self.implies(a, b)
-
     def implies_any(self, a: int, bs: list[int], *, guard: int | None = None) -> None:
         """a -> (b1 | b2 | ...)."""
         if guard is None:

@@ -9,7 +9,7 @@ low IIs in every insertion round before it maps):
 
 The AC-3 pruning is checked against the AC-1 sweep it replaced
 (:func:`oracles.revise_ac1`) on seeded random graphs, and every
-solution the DFS returns is checked against :func:`adjplace.compatible`.
+solution the DFS returns is checked against :func:`oracles.compatible`.
 The digests are independent of ``PYTHONHASHSEED``; CI runs this file
 under two hash seeds to keep it that way.
 """
@@ -21,7 +21,7 @@ import json
 
 import pytest
 
-from oracles import revise_ac1
+from oracles import compatible, revise_ac1
 from repro.arch import presets
 from repro.core.registry import create
 from repro.core.serialize import mapping_to_doc
@@ -128,6 +128,6 @@ def test_dfs_solutions_satisfy_the_model(cgra, first):
                 if e.src == e.dst:
                     continue  # a self-loop is left to validation
                 lat = dfg.node(e.src).op.latency
-                assert adjplace.compatible(
+                assert compatible(
                     cgra, ii, e, lat, assign[e.src], assign[e.dst]
                 ), (dfg.name, ii, e)

@@ -8,9 +8,12 @@ import pytest
 
 from repro.api import available_mappers, map_dfg
 from repro.arch import presets
+from repro.cache import mapping_cache
 from repro.core.exceptions import MapFailure
+from repro.core.mapping import Mapping
 from repro.core.problem import MappingProblem
 from repro.core.registry import catalog, create, names
+from repro.core.serialize import mapping_to_doc
 from repro.ir import kernels
 
 SPATIAL = [n for n, m in catalog().items() if "spatial" in m["kinds"]]
@@ -81,6 +84,51 @@ def test_spatial_mappers(cgra, mapper, kernel):
     assert m.kind == "spatial"
     # One cell per op in spatial mapping.
     assert len(set(m.binding.values())) == len(m.binding)
+
+
+@pytest.mark.parametrize("mname", sorted(names()))
+def test_map_returns_only_validated_objects(cgra, monkeypatch, mname):
+    """The validation boundary: every mapping ``Mapper.map`` returns is
+    an object ``Mapping.validate`` was called on — a fresh result in
+    the attempt loop, a cache hit as the cache loads it.  A mapper
+    that returns around the loop fails here."""
+    checked: list[Mapping] = []
+    validate = Mapping.validate
+
+    def recording(self, *args, **kwargs):
+        checked.append(self)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mapping, "validate", recording)
+    options = {"jobs": 1} if mname == "portfolio" else {}
+    for kernel in ("vector_add", "dot_product"):
+        dfg = kernels.kernel(kernel)
+        with mapping_cache() as cache:
+            checked.clear()
+            fresh = create(mname, **options).map(dfg, cgra)
+            assert any(m is fresh for m in checked)
+            checked.clear()
+            hit = create(mname, **options).map(dfg, cgra)
+            assert cache.stats.hits == 1
+            assert any(m is hit for m in checked)
+
+
+def _outcome(mapper, dfg, cgra):
+    try:
+        return mapping_to_doc(mapper.map(dfg, cgra))
+    except MapFailure as exc:
+        return str(exc), exc.attempts
+
+
+def test_graph_drawing_retry_keeps_the_instance_seed():
+    """The jittered retry re-seeds its own drawing, not the instance,
+    so a second call repeats the first (and keeps its cache key)."""
+    mapper = create("graph_drawing")
+    dfg, cgra = kernels.kernel("fir8"), presets.by_name("hycube4x4")
+    first = _outcome(mapper, dfg, cgra)
+    assert first == ("graph_drawing: legalised drawing is unroutable", 2)
+    assert _outcome(mapper, dfg, cgra) == first
+    assert mapper.seed == 0
 
 
 @pytest.mark.parametrize("mapper", sorted(TEMPORAL))

@@ -11,7 +11,7 @@ own constraint form.  The pins below fix what each produces:
   order steers CDCL, and row order steers HiGHS.
 
 ``edge_supports`` itself is checked against the rule it tabulates,
-:func:`repro.mappers.adjplace.compatible`, slot pair by slot pair.
+:func:`oracles.compatible`, slot pair by slot pair.
 The values are independent of ``PYTHONHASHSEED``; CI runs this file
 under two hash seeds to keep it that way.
 """
@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from oracles import compatible
 from repro.arch import presets
 from repro.core.exceptions import MapFailure
 from repro.core.problem import MappingProblem
@@ -166,11 +167,11 @@ def test_edge_supports_match_compatible(seed, loops):
             du, dv = domains[e.src], domains[e.dst]
             if e.src == e.dst:
                 assert table == [
-                    adjplace.compatible(cgra, ii, e, lat, s, s) for s in du
+                    compatible(cgra, ii, e, lat, s, s) for s in du
                 ]
                 continue
             assert table == [
                 [j for j, sv in enumerate(dv)
-                 if adjplace.compatible(cgra, ii, e, lat, su, sv)]
+                 if compatible(cgra, ii, e, lat, su, sv)]
                 for su in du
             ]

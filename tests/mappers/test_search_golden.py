@@ -1,12 +1,16 @@
-"""Pinned outputs of the modulo mappers that share ``Mapper.search``.
+"""Pinned outputs of the mappers that share ``Mapper.first_valid``.
 
-Every mapper below escalates the II through the one shared loop in
-:mod:`repro.core.mapper`.  For each, two things are held fixed:
+Every mapper below returns through the one attempt loop in
+:mod:`repro.core.mapper`: the modulo mappers through its II
+escalation ``Mapper.search``, the spatial ones with one candidate per
+restart, route round or drawing.  For each, two things are held fixed:
 
 * a digest of ``mapping_to_doc`` over three small kernels on
   simple4x4 (some of them need the loop to escalate past the MII);
-* the ``MapFailure`` message and attempt count for a request that no
-  II can satisfy: an explicit II below a two-op recurrence's RecMII.
+* the ``MapFailure`` message and attempt count for a request that
+  cannot be met: for a modulo mapper an explicit II below a two-op
+  recurrence's RecMII, for a spatial mapper the kernel in
+  :data:`SPATIAL_FAILURES`, which does not route on simple4x4.
 
 The digests are independent of ``PYTHONHASHSEED``; CI runs this file
 under two hash seeds to keep it that way.  A change that moves a
@@ -100,6 +104,42 @@ GOLDEN = {
         "3b76f076038dbbd0",
         "ultrafast: no feasible II for loop2 on simple4x4", 1,
     ),
+    "cluster": (
+        "a27ed0a95e7212db",
+        "cluster: routing failed after 3 two-phase restarts", 3,
+    ),
+    "genmap": (
+        "0557e54b2516d274",
+        "genmap: best individual (fitness 105.0) is unroutable", 1,
+    ),
+    "graph_drawing": (
+        "0280f8e33463274a",
+        "graph_drawing: legalised drawing is unroutable", 2,
+    ),
+    "ilp_spatial": (
+        "85d7477cb78d2670",
+        "ilp_spatial: ILP proved spatial binding infeasible on simple4x4"
+        " (within 2 route rounds)",
+        2,
+    ),
+    "qea": (
+        "eefde9da70b6fd15",
+        "qea: best observation (fitness 106.0) is unroutable", 1,
+    ),
+    "sa_spatial": (
+        "2243f6f23bb18475",
+        "sa_spatial: routing failed after 4 annealing restarts", 4,
+    ),
+}
+
+#: spatial mapper -> a kernel it fails to route on simple4x4
+SPATIAL_FAILURES = {
+    "cluster": "butterfly",
+    "genmap": "fir8",
+    "graph_drawing": "fir8",
+    "ilp_spatial": "butterfly",
+    "qea": "fir8",
+    "sa_spatial": "fir8",
 }
 
 
@@ -134,7 +174,10 @@ def test_mapper_output_and_failure_pinned(cgra, mname):
     ]
     assert _digest(docs) == digest
     with pytest.raises(MapFailure) as exc:
-        create(mname).map(_loop2(), cgra, ii=1)
+        if mname in SPATIAL_FAILURES:
+            create(mname).map(kernels.kernel(SPATIAL_FAILURES[mname]), cgra)
+        else:
+            create(mname).map(_loop2(), cgra, ii=1)
     assert str(exc.value) == message
     assert exc.value.attempts == attempts
 

@@ -14,6 +14,8 @@ the equivalence suites hold the two to byte-identical results.
 * :func:`negotiate_reference` — dict + ``heapq`` PathFinder spatial
   negotiation with the full rip-up schedule, vs
   :func:`repro.mappers.routecore.negotiate_spatial`;
+* :func:`compatible` — the adjacency model's edge rule for one slot
+  pair, vs its table :func:`repro.mappers.adjplace.edge_supports`;
 * :func:`revise_ac1` — the graph-minor mapper's AC-1 sweep, vs the
   AC-3 :func:`repro.mappers.adjplace.arc_consistent`;
 * :func:`unrouted_edges_scan` and :func:`route_len_scan` — full scans
@@ -30,12 +32,13 @@ this package as ``oracles``; the benchmark scripts insert the same
 directory themselves.
 """
 
-from oracles.adjplace import revise_ac1
+from oracles.adjplace import compatible, revise_ac1
 from oracles.placement import route_len_scan, unrouted_edges_scan
 from oracles.routing import DictOccupancy, ReferenceRouter, negotiate_reference
 from oracles.sat import DPLLSATMapper, DPLLSolver
 
 __all__ = [
+    "compatible",
     "DictOccupancy",
     "DPLLSATMapper",
     "DPLLSolver",

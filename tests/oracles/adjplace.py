@@ -1,20 +1,41 @@
-"""Reference arc consistency for the adjacency-placement model.
+"""Reference edge rule and arc consistency for the adjacency model.
+
+:func:`compatible` states the edge rule of
+:mod:`repro.mappers.adjplace` for one slot pair; the production
+encoders read it tabulated, from
+:func:`repro.mappers.adjplace.edge_supports`, which the tests check
+against it pair by pair.
 
 :func:`revise_ac1` is the original AC-1 pass of the graph-minor mapper:
 sweep every edge, filter both endpoint domains against each other with
-:func:`repro.mappers.adjplace.compatible`, and repeat until a sweep
-changes nothing.  :func:`repro.mappers.adjplace.arc_consistent` (AC-3
-with a worklist and per-cell support tables) must return the same
-domains, in the same order, and wipe out on the same inputs.
+:func:`compatible`, and repeat until a sweep changes nothing.
+:func:`repro.mappers.adjplace.arc_consistent` (AC-3 with a worklist
+and per-cell support tables) must return the same domains, in the
+same order, and wipe out on the same inputs.
 """
 
 from __future__ import annotations
 
 from repro.arch.cgra import CGRA
-from repro.ir.dfg import DFG
+from repro.ir.dfg import DFG, Edge
 from repro.mappers import adjplace
 
-__all__ = ["revise_ac1"]
+__all__ = ["compatible", "revise_ac1"]
+
+
+def compatible(
+    cgra: CGRA, ii: int, e: Edge, lat: int,
+    su: adjplace.Slot, sv: adjplace.Slot,
+) -> bool:
+    """May edge ``e`` connect producer slot ``su`` to consumer ``sv``?"""
+    cu, tu = su
+    cv, tv = sv
+    delta = tv + e.dist * ii - tu - lat
+    if delta < 0:
+        return False
+    if cu == cv:
+        return True  # register-file holds bridge the gap
+    return delta == 0 and cgra.has_link(cu, cv)
 
 
 def revise_ac1(
@@ -32,7 +53,7 @@ def revise_ac1(
                 su
                 for su in doms[e.src]
                 if any(
-                    adjplace.compatible(cgra, ii, e, lat[e.src], su, sv)
+                    compatible(cgra, ii, e, lat[e.src], su, sv)
                     for sv in doms[e.dst]
                 )
             ]
@@ -45,7 +66,7 @@ def revise_ac1(
                 sv
                 for sv in doms[e.dst]
                 if any(
-                    adjplace.compatible(cgra, ii, e, lat[e.src], su, sv)
+                    compatible(cgra, ii, e, lat[e.src], su, sv)
                     for su in doms[e.src]
                 )
             ]

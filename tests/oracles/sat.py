@@ -15,6 +15,7 @@ benchmark compare the incremental CDCL mapper against it.
 
 from __future__ import annotations
 
+from oracles.adjplace import compatible
 from repro.mappers import adjplace
 from repro.mappers.sat_mapper import SATMapper
 from repro.obs.metrics import SAT_CONFLICTS, get_metrics
@@ -227,14 +228,14 @@ class DPLLSATMapper(SATMapper):
             lat = dfg.node(e.src).op.latency
             if e.src == e.dst:
                 for s in domains[e.src]:
-                    if not adjplace.compatible(cgra, ii, e, lat, s, s):
+                    if not compatible(cgra, ii, e, lat, s, s):
                         cnf.add(-var[(e.src, s)])
                 continue
             for su in domains[e.src]:
                 support = [
                     var[(e.dst, sv)]
                     for sv in domains[e.dst]
-                    if adjplace.compatible(cgra, ii, e, lat, su, sv)
+                    if compatible(cgra, ii, e, lat, su, sv)
                 ]
                 if support:
                     cnf.implies_any(var[(e.src, su)], support)
@@ -244,7 +245,7 @@ class DPLLSATMapper(SATMapper):
                 support = [
                     var[(e.src, su)]
                     for su in domains[e.src]
-                    if adjplace.compatible(cgra, ii, e, lat, su, sv)
+                    if compatible(cgra, ii, e, lat, su, sv)
                 ]
                 if support:
                     cnf.implies_any(var[(e.dst, sv)], support)

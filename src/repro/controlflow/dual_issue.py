@@ -142,7 +142,8 @@ def map_dual_issue(
                         break
             if not placed:
                 return None
-        mapping = state.to_mapping("dual_issue")
+        mapping = state.to_mapping()
+        mapping.mapper = "dual_issue"
         mapping.coexec = set(pairs)
         if mapping.validate(raise_on_error=False):
             return None

@@ -17,8 +17,8 @@ from __future__ import annotations
 import abc
 import logging
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Iterable, Iterator
 
 from repro.arch.cgra import CGRA
 from repro.core.exceptions import MapFailure
@@ -78,21 +78,24 @@ class MapperInfo:
                 raise ValueError(f"bad mapping kind {k!r}")
 
 
+@dataclass(eq=False)
 class Mapper(abc.ABC):
     """Abstract mapping method.
 
     Subclasses implement :meth:`_map`; the public :meth:`map` wraps it
     with input checking, wall-clock accounting and result stamping.
+    Each registered mapper is a ``@dataclass(eq=False, kw_only=True)``
+    whose fields are its options: the class declaration is the one
+    place a mapper's configuration is written, and :meth:`cache_token`
+    reads it from there.
 
     Args:
         seed: RNG seed for stochastic methods (all mappers accept it so
             harness code can treat them uniformly).
     """
 
-    info: MapperInfo
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
+    info: ClassVar[MapperInfo]
+    seed: int = 0
 
     # ------------------------------------------------------------------
     def map(
@@ -173,13 +176,17 @@ class Mapper(abc.ABC):
     def cache_token(self) -> str:
         """Configuration identity beyond (name, seed) for cache keys.
 
-        Mappers whose constructor options change the produced mapping
-        (solver engine, entrant list, iteration budgets, ...) override
-        this so differently-configured instances do not alias in the
-        mapping cache.  The default — no extra identity — is right for
-        mappers whose output is fixed by (dfg, cgra, seed, ii).
+        Every option field but ``seed`` (which the key carries on its
+        own), as ``name=repr(value)`` in declaration order; empty for a
+        mapper with no options.  Cache keys, serve's dedup key and the
+        sweep's cell keys all read it, so an option can never be left
+        out of them.
         """
-        return ""
+        return ";".join(
+            f"{f.name}={getattr(self, f.name)!r}"
+            for f in fields(self)
+            if f.init and f.name != "seed"
+        )
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -235,9 +242,6 @@ class Mapper(abc.ABC):
             mapper=self.info.name,
             attempts=attempts,
         )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(seed={self.seed})"
 
 
 def ii_range(dfg: DFG, cgra: CGRA, ii: int | None) -> Iterable[int]:

@@ -244,22 +244,32 @@ def dfs(
 
 def insertion_tries(
     dfg: DFG, cgra: CGRA, rounds: int,
-    solve: Callable[[DFG, CGRA, int], dict[int, Slot] | None], mapper: str,
+    solve: Callable[[int, DFG, int], dict[int, Slot] | None],
 ) -> Callable[[int], Iterator[Mapping | None]]:
-    """``Mapper.search`` attempts: per II, ``solve(work, cgra, ii)`` on
-    ``dfg`` after 0, 1, ... ``rounds`` ROUTE-insertion rounds."""
+    """``Mapper.search`` attempts: per II, ``solve(r, work, ii)`` for
+    ``r`` = 0, 1, ... ``rounds``, where ``work`` is ``dfg`` after ``r``
+    ROUTE-insertion rounds.  Each round's graph is built once per call
+    of this function, so a mapper may keep state per round across the
+    II escalation (sat's incremental model, smt's skeleton, csp's
+    value hint)."""
+    works: dict[int, DFG] = {}
+
     def tries(ii: int) -> Iterator[Mapping | None]:
         for r in range(rounds + 1):
-            work = dfg if r == 0 else split_dist0_edges(dfg, r)
-            assign = solve(work, cgra, ii)
+            work = works.get(r)
+            if work is None:
+                work = works[r] = (
+                    dfg if r == 0 else split_dist0_edges(dfg, r)
+                )
+            assign = solve(r, work, ii)
             yield None if assign is None else build_mapping(
-                work, cgra, ii, assign, mapper
+                work, cgra, ii, assign
             )
     return tries
 
 
 def build_mapping(
-    dfg: DFG, cgra: CGRA, ii: int, assign: dict[int, Slot], mapper: str
+    dfg: DFG, cgra: CGRA, ii: int, assign: dict[int, Slot]
 ) -> Mapping:
     """Materialise an adjacency-model solution as a Mapping.
 
@@ -282,5 +292,5 @@ def build_mapping(
             ]
     return Mapping(
         dfg, cgra, kind="modulo", binding=binding, schedule=schedule,
-        routes=routes, ii=ii, mapper=mapper,
+        routes=routes, ii=ii,
     )

@@ -14,6 +14,8 @@ once on its ``bnb_search`` span.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -26,6 +28,7 @@ __all__ = ["BranchAndBoundMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class BranchAndBoundMapper(Mapper):
     """Exhaustive DFS with makespan bounding (exact in-model)."""
 
@@ -40,14 +43,9 @@ class BranchAndBoundMapper(Mapper):
         exact=True,
     )
 
-    def __init__(
-        self, seed: int = 0, *, node_limit: int = 200_000,
-        max_route_rounds: int = 1, window: int | None = None,
-    ) -> None:
-        super().__init__(seed)
-        self.node_limit = node_limit
-        self.max_route_rounds = max_route_rounds
-        self.window = window
+    node_limit: int = 200_000
+    max_route_rounds: int = 1
+    window: int | None = None
 
     def _solve(
         self, dfg: DFG, cgra: CGRA, ii: int
@@ -69,8 +67,8 @@ class BranchAndBoundMapper(Mapper):
         return self.search(
             dfg, cgra, ii,
             adjplace.insertion_tries(
-                dfg, cgra, self.max_route_rounds, self._solve,
-                self.info.name,
+                dfg, cgra, self.max_route_rounds,
+                lambda r, work, ii_try: self._solve(work, cgra, ii_try),
             ),
             f"search space exhausted on {cgra.name}",
         )

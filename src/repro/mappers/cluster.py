@@ -31,6 +31,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+from dataclasses import dataclass
 
 from repro.arch.cgra import CGRA
 from repro.arch.tec import Step
@@ -167,6 +168,7 @@ def near_cells(cgra: CGRA, radius: int = 2) -> list[list[int]]:
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class ClusteredSpatialMapper(Mapper):
     """Partition -> centroid-seeded global place -> batched SA refine."""
 
@@ -180,36 +182,14 @@ class ClusteredSpatialMapper(Mapper):
         year=2021,
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        region: int = 4,
-        batch: int = 8,
-        t_start: float = 2.0,
-        t_end: float = 0.05,
-        cooling: float = 0.9,
-        moves_per_temp: int | None = None,
-        restarts: int = 3,
-        repair_rounds: int = 4,
-    ) -> None:
-        super().__init__(seed)
-        self.region = region
-        self.batch = batch
-        self.t_start = t_start
-        self.t_end = t_end
-        self.cooling = cooling
-        self.moves_per_temp = moves_per_temp
-        self.restarts = restarts
-        self.repair_rounds = repair_rounds
-
-    def cache_token(self) -> str:
-        return (
-            f"region={self.region};batch={self.batch};"
-            f"t={self.t_start}:{self.t_end}:{self.cooling};"
-            f"moves={self.moves_per_temp};restarts={self.restarts};"
-            f"repair={self.repair_rounds}"
-        )
+    region: int = 4
+    batch: int = 8
+    t_start: float = 2.0
+    t_end: float = 0.05
+    cooling: float = 0.9
+    moves_per_temp: int | None = None
+    restarts: int = 3
+    repair_rounds: int = 4
 
     # -- phase 2: global seed ------------------------------------------
     def seed_binding(
@@ -584,6 +564,5 @@ class ClusteredSpatialMapper(Mapper):
             return None
         binding, routes = routed
         return Mapping(
-            dfg, cgra, kind="spatial", binding=binding, routes=routes,
-            mapper=self.info.name,
+            dfg, cgra, kind="spatial", binding=binding, routes=routes
         )

@@ -392,7 +392,7 @@ class PlacementState:
                 cells.append(self.binding[e.dst])
         return cells
 
-    def to_mapping(self, mapper: str = "?") -> Mapping:
+    def to_mapping(self) -> Mapping:
         return Mapping(
             self.dfg,
             self.cgra,
@@ -401,7 +401,6 @@ class PlacementState:
             schedule=dict(self.schedule),
             routes=dict(self.routes),
             ii=self.ii,
-            mapper=mapper,
         )
 
 

@@ -10,6 +10,7 @@ same II before paying for a larger one.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.arch.cgra import CGRA
@@ -24,6 +25,7 @@ __all__ = ["CrimsonMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class CrimsonMapper(Mapper):
     """Random-priority restarts at each II before escalating."""
 
@@ -37,9 +39,7 @@ class CrimsonMapper(Mapper):
         year=2020,
     )
 
-    def __init__(self, seed: int = 0, *, restarts: int = 8) -> None:
-        super().__init__(seed)
-        self.restarts = restarts
+    restarts: int = 8
 
     @staticmethod
     def _random_topo_order(

@@ -13,7 +13,7 @@ AC-3 plus MRV/forward-checking do the rest.
 
 from __future__ import annotations
 
-from typing import Iterator
+from dataclasses import dataclass
 
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
@@ -21,13 +21,13 @@ from repro.core.mapping import Mapping
 from repro.core.registry import register
 from repro.ir.dfg import DFG
 from repro.mappers import adjplace
-from repro.mappers.regraph import split_dist0_edges
 from repro.solvers.csp import CSP, CSPTimeout, CSPUnsat
 
 __all__ = ["CSPMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class CSPMapper(Mapper):
     """Finite-domain CSP formulation (CP, Raffin et al. style)."""
 
@@ -42,16 +42,8 @@ class CSPMapper(Mapper):
         exact=True,
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        node_limit: int = 150_000,
-        max_route_rounds: int = 1,
-    ) -> None:
-        super().__init__(seed)
-        self.node_limit = node_limit
-        self.max_route_rounds = max_route_rounds
+    node_limit: int = 150_000
+    max_route_rounds: int = 1
 
     def _solve(
         self,
@@ -100,23 +92,18 @@ class CSPMapper(Mapper):
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         hints: dict[int, dict[int, adjplace.Slot]] = {}
 
-        def tries(ii_try: int) -> Iterator[Mapping | None]:
-            for rounds in range(self.max_route_rounds + 1):
-                work = (
-                    dfg if rounds == 0 else split_dist0_edges(dfg, rounds)
-                )
-                assign = self._solve(
-                    work, cgra, ii_try, hint=hints.get(rounds)
-                )
-                if assign is None:
-                    yield None
-                    continue
-                hints[rounds] = assign
-                yield adjplace.build_mapping(
-                    work, cgra, ii_try, assign, self.info.name
-                )
+        def solve(
+            r: int, work: DFG, ii_try: int
+        ) -> dict[int, adjplace.Slot] | None:
+            assign = self._solve(work, cgra, ii_try, hint=hints.get(r))
+            if assign is not None:
+                hints[r] = assign
+            return assign
 
         return self.search(
-            dfg, cgra, ii, tries,
+            dfg, cgra, ii,
+            adjplace.insertion_tries(
+                dfg, cgra, self.max_route_rounds, solve
+            ),
             f"CSP proved the windowed model infeasible on {cgra.name}",
         )

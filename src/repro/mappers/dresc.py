@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
@@ -29,6 +30,7 @@ UNROUTED_PENALTY = 50.0
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class DRESCMapper(Mapper):
     """Simulated annealing over modulo placements with rip-up/reroute."""
 
@@ -42,22 +44,11 @@ class DRESCMapper(Mapper):
         year=2002,
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        t_start: float = 20.0,
-        t_end: float = 0.2,
-        cooling: float = 0.9,
-        moves_per_temp: int = 80,
-        window: int | None = None,
-    ) -> None:
-        super().__init__(seed)
-        self.t_start = t_start
-        self.t_end = t_end
-        self.cooling = cooling
-        self.moves_per_temp = moves_per_temp
-        self.window = window
+    t_start: float = 20.0
+    t_end: float = 0.2
+    cooling: float = 0.9
+    moves_per_temp: int = 80
+    window: int | None = None
 
     # ------------------------------------------------------------------
     def _cost(self, state: PlacementState) -> float:
@@ -145,7 +136,7 @@ class DRESCMapper(Mapper):
         while temp > self.t_end:
             for _ in range(self.moves_per_temp):
                 if cost == 0 or not state.pending:
-                    mapping = state.to_mapping(self.info.name)
+                    mapping = state.to_mapping()
                     if not mapping.validate(raise_on_error=False):
                         return mapping
                 tracer.count(CANDIDATES_EXPLORED)
@@ -173,7 +164,7 @@ class DRESCMapper(Mapper):
             temp *= self.cooling
         if state.pending:
             return None
-        return state.to_mapping(self.info.name)
+        return state.to_mapping()
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         rng = random.Random(self.seed)

@@ -10,6 +10,8 @@ cheapest — routing decides, placement follows.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -22,6 +24,7 @@ __all__ = ["EdgeCentricMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class EdgeCentricMapper(Mapper):
     """Route-cost-driven placement (EMS-style)."""
 
@@ -35,9 +38,7 @@ class EdgeCentricMapper(Mapper):
         year=2008,
     )
 
-    def __init__(self, seed: int = 0, *, probe_limit: int = 24) -> None:
-        super().__init__(seed)
-        self.probe_limit = probe_limit
+    probe_limit: int = 24
 
     def _attempt(self, dfg: DFG, cgra: CGRA, ii: int) -> Mapping | None:
         state = PlacementState(dfg, cgra, ii)
@@ -79,7 +80,7 @@ class EdgeCentricMapper(Mapper):
                 return None
             placed = state.place(nid, best[1], best[2])
             assert placed, "probed slot must remain placeable"
-        return state.to_mapping(self.info.name)
+        return state.to_mapping()
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         return self.search(

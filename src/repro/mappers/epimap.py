@@ -13,6 +13,8 @@ cost model (and why REGIMap later added registers — see
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -25,6 +27,7 @@ __all__ = ["EpimapMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class EpimapMapper(Mapper):
     """Constructive mapping where values live on PEs, never in RFs."""
 

@@ -10,6 +10,7 @@ with a wirelength-plus-routability fitness.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
@@ -28,6 +29,7 @@ __all__ = ["GenMapMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class GenMapMapper(Mapper):
     """GA over spatial bindings (GenMap-style)."""
 
@@ -41,22 +43,11 @@ class GenMapMapper(Mapper):
         year=2020,
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        population: int = 24,
-        generations: int = 40,
-        tournament: int = 3,
-        mutation_rate: float = 0.25,
-        elite: int = 2,
-    ) -> None:
-        super().__init__(seed)
-        self.population = population
-        self.generations = generations
-        self.tournament = tournament
-        self.mutation_rate = mutation_rate
-        self.elite = elite
+    population: int = 24
+    generations: int = 40
+    tournament: int = 3
+    mutation_rate: float = 0.25
+    elite: int = 2
 
     # ------------------------------------------------------------------
     def _fitness(self, dfg: DFG, cgra: CGRA, b: dict[int, int]) -> float:
@@ -160,6 +151,6 @@ class GenMapMapper(Mapper):
 
         assert best is not None
         return self.first_valid(
-            [finalize(dfg, cgra, best[1], self.info.name)],
+            [finalize(dfg, cgra, best[1])],
             f"best individual (fitness {best[0]:.1f}) is unroutable",
         )

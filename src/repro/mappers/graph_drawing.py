@@ -10,6 +10,7 @@ drawing order, and finishes with a greedy local-improvement pass.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator
 
 import networkx as nx
@@ -29,6 +30,7 @@ __all__ = ["GraphDrawingMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class GraphDrawingMapper(Mapper):
     """Force-directed drawing + grid legalisation (Yoon et al. style)."""
 
@@ -42,9 +44,7 @@ class GraphDrawingMapper(Mapper):
         year=2009,
     )
 
-    def __init__(self, seed: int = 0, *, improve_passes: int = 3) -> None:
-        super().__init__(seed)
-        self.improve_passes = improve_passes
+    improve_passes: int = 3
 
     def _layout(self, dfg: DFG, seed: int) -> dict[int, tuple[float, float]]:
         g = nx.Graph()
@@ -139,4 +139,4 @@ class GraphDrawingMapper(Mapper):
     ) -> Mapping | None:
         """Improve the snapped binding, then route it."""
         self._improve(dfg, cgra, binding)
-        return finalize(dfg, cgra, binding, self.info.name)
+        return finalize(dfg, cgra, binding)

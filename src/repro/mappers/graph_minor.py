@@ -17,6 +17,8 @@ span per (II, insertion round) carries its node and backtrack counts.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -29,6 +31,7 @@ __all__ = ["GraphMinorMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class GraphMinorMapper(Mapper):
     """Arc-consistent slot embedding with bounded backtracking."""
 
@@ -42,13 +45,8 @@ class GraphMinorMapper(Mapper):
         year=2014,
     )
 
-    def __init__(
-        self, seed: int = 0, *, max_backtracks: int = 2000,
-        max_route_rounds: int = 2,
-    ) -> None:
-        super().__init__(seed)
-        self.max_backtracks = max_backtracks
-        self.max_route_rounds = max_route_rounds
+    max_backtracks: int = 2000
+    max_route_rounds: int = 2
 
     # ------------------------------------------------------------------
     def _search(
@@ -75,8 +73,8 @@ class GraphMinorMapper(Mapper):
         return self.search(
             dfg, cgra, ii,
             adjplace.insertion_tries(
-                dfg, cgra, self.max_route_rounds, self._search,
-                self.info.name,
+                dfg, cgra, self.max_route_rounds,
+                lambda r, work, ii_try: self._search(work, cgra, ii_try),
             ),
             f"no minor embedding found on {cgra.name}",
         )

@@ -16,6 +16,8 @@ its flat fallback.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -28,6 +30,7 @@ __all__ = ["HiMapMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class HiMapMapper(Mapper):
     """Cluster -> region assignment, then region-restricted placement."""
 
@@ -41,9 +44,7 @@ class HiMapMapper(Mapper):
         year=2021,
     )
 
-    def __init__(self, seed: int = 0, *, region: int = 2) -> None:
-        super().__init__(seed)
-        self.region = region
+    region: int = 2
 
     # ------------------------------------------------------------------
     def _cluster(self, dfg: DFG, size: int) -> dict[int, int]:

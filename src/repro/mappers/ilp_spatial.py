@@ -16,6 +16,7 @@ model means preferring same-cell self-edges and tight clusters.
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.arch.cgra import CGRA
@@ -35,6 +36,7 @@ _log = logging.getLogger("repro.mappers.ilp_spatial")
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class ILPSpatialMapper(Mapper):
     """Exact spatial binding via 0/1 ILP."""
 
@@ -49,21 +51,14 @@ class ILPSpatialMapper(Mapper):
         exact=True,
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        node_limit: int = 20_000,
-        time_limit: float = 20.0,
-        max_route_rounds: int = 2,
-    ) -> None:
-        super().__init__(seed)
-        self.node_limit = node_limit
-        self.time_limit = time_limit
-        self.max_route_rounds = max_route_rounds
+    node_limit: int = 20_000
+    time_limit: float = 20.0
+    max_route_rounds: int = 2
 
     def cache_token(self) -> str:
-        return "solver=highs-milp"
+        # Solver version marker: HiGHS maps differ from those of the
+        # hand-rolled branch and bound before it, whose keys must miss.
+        return "solver=highs-milp;" + super().cache_token()
 
     def _solve(self, dfg: DFG, cgra: CGRA) -> dict[int, int] | None:
         nodes = [n.nid for n in dfg.nodes() if not n.op.is_pseudo]
@@ -146,5 +141,5 @@ class ILPSpatialMapper(Mapper):
                 binding = self._solve(work, cgra)
                 if binding is not None:
                     tracer.count(ROUTING_ATTEMPTS)
-                    mapping = finalize(work, cgra, binding, self.info.name)
+                    mapping = finalize(work, cgra, binding)
             yield mapping

@@ -14,6 +14,8 @@ exact column.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -26,6 +28,7 @@ __all__ = ["ILPTemporalMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class ILPTemporalMapper(Mapper):
     """0/1 ILP over (cell, cycle) slots, solved exactly by HiGHS."""
 
@@ -40,23 +43,15 @@ class ILPTemporalMapper(Mapper):
         exact=True,
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        node_limit: int = 20_000,
-        time_limit: float = 20.0,
-        max_route_rounds: int = 1,
-        window: int | None = None,
-    ) -> None:
-        super().__init__(seed)
-        self.node_limit = node_limit
-        self.time_limit = time_limit
-        self.max_route_rounds = max_route_rounds
-        self.window = window
+    node_limit: int = 20_000
+    time_limit: float = 20.0
+    max_route_rounds: int = 1
+    window: int | None = None
 
     def cache_token(self) -> str:
-        return "solver=highs-milp"
+        # Solver version marker: HiGHS maps differ from those of the
+        # hand-rolled branch and bound before it, whose keys must miss.
+        return "solver=highs-milp;" + super().cache_token()
 
     def _solve(
         self, dfg: DFG, cgra: CGRA, ii: int
@@ -109,8 +104,8 @@ class ILPTemporalMapper(Mapper):
         return self.search(
             dfg, cgra, ii,
             adjplace.insertion_tries(
-                dfg, cgra, self.max_route_rounds, self._solve,
-                self.info.name,
+                dfg, cgra, self.max_route_rounds,
+                lambda r, work, ii_try: self._solve(work, cgra, ii_try),
             ),
             f"ILP proved the windowed model infeasible on {cgra.name}",
         )

@@ -9,6 +9,8 @@ temporal mapper in the package is measured against.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -21,6 +23,7 @@ __all__ = ["ListSchedulingMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class ListSchedulingMapper(Mapper):
     """Height-priority list scheduling with nearest-cell binding."""
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import os
+from dataclasses import dataclass
 
 from repro.arch.cgra import CGRA
 from repro.cache import get_cache
@@ -63,8 +64,20 @@ def _lost(res: PMapResult) -> bool:
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class PortfolioMapper(Mapper):
-    """Race a set of registered mappers; first/best valid mapping wins."""
+    """Race a set of registered mappers; first/best valid mapping wins.
+
+    Args:
+        mappers: entrant registry names, in priority order (None: the
+            :data:`DEFAULT_ENTRANTS`).
+        policy: ``"first"`` — lowest-priority-index valid mapping
+            wins, losers are cancelled; ``"best"`` — all entrants
+            finish, lowest II wins (ties by priority order).
+        jobs: worker processes; 0 = one per entrant (capped at the
+            core count), 1 = run entrants serially in-process.
+        timeout: per-entrant wall-clock budget in seconds.
+    """
 
     info = MapperInfo(
         name="portfolio",
@@ -76,36 +89,16 @@ class PortfolioMapper(Mapper):
         year=2022,
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        mappers: tuple[str, ...] | None = None,
-        policy: str = "first",
-        jobs: int = 0,
-        timeout: float | None = None,
-    ) -> None:
-        """Args:
-            mappers: entrant registry names, in priority order.
-            policy: ``"first"`` — lowest-priority-index valid mapping
-                wins, losers are cancelled; ``"best"`` — all entrants
-                finish, lowest II wins (ties by priority order).
-            jobs: worker processes; 0 = one per entrant (capped at the
-                core count), 1 = run entrants serially in-process.
-            timeout: per-entrant wall-clock budget in seconds.
-        """
-        super().__init__(seed)
-        if policy not in ("first", "best"):
-            raise ValueError(f"bad portfolio policy {policy!r}")
-        self.mappers = tuple(mappers) if mappers else DEFAULT_ENTRANTS
-        self.policy = policy
-        self.jobs = jobs
-        self.timeout = timeout
+    mappers: tuple[str, ...] | None = None
+    policy: str = "first"
+    jobs: int = 0
+    timeout: float | None = None
 
-    def cache_token(self) -> str:
-        return (
-            f"entrants={','.join(self.mappers)};policy={self.policy}"
-            f";timeout={self.timeout}"
+    def __post_init__(self) -> None:
+        if self.policy not in ("first", "best"):
+            raise ValueError(f"bad portfolio policy {self.policy!r}")
+        self.mappers = (
+            tuple(self.mappers) if self.mappers else DEFAULT_ENTRANTS
         )
 
     # ------------------------------------------------------------------

@@ -11,6 +11,7 @@ spatial binding problem.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = ["QEAMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class QEAMapper(Mapper):
     """Quantum-inspired EA over spatial bindings."""
 
@@ -44,18 +46,9 @@ class QEAMapper(Mapper):
         year=2011,
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        observations: int = 12,
-        generations: int = 40,
-        rotation: float = 0.25,
-    ) -> None:
-        super().__init__(seed)
-        self.observations = observations
-        self.generations = generations
-        self.rotation = rotation
+    observations: int = 12
+    generations: int = 40
+    rotation: float = 0.25
 
     def _observe(
         self,
@@ -145,6 +138,6 @@ class QEAMapper(Mapper):
         if best is None:
             raise self.fail("no injective binding could be observed")
         return self.first_valid(
-            [finalize(dfg, cgra, best[1], self.info.name)],
+            [finalize(dfg, cgra, best[1])],
             f"best observation (fitness {best[0]:.1f}) is unroutable",
         )

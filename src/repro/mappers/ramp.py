@@ -16,6 +16,7 @@ implementation keeps that escalation ladder:
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.arch.cgra import CGRA
@@ -30,6 +31,7 @@ __all__ = ["RampMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class RampMapper(Mapper):
     """Failure-diagnosing escalation of remapping strategies."""
 
@@ -43,9 +45,7 @@ class RampMapper(Mapper):
         year=2018,
     )
 
-    def __init__(self, seed: int = 0, *, random_retries: int = 4) -> None:
-        super().__init__(seed)
-        self.random_retries = random_retries
+    random_retries: int = 4
 
     def _construct(
         self,
@@ -69,7 +69,7 @@ class RampMapper(Mapper):
                     break
             if not placed:
                 return None, nid
-        return state.to_mapping(self.info.name), None
+        return state.to_mapping(), None
 
     @staticmethod
     def _prioritise_neighbourhood(

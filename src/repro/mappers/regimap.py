@@ -14,6 +14,8 @@ travel through registers, not through the fabric:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -26,6 +28,7 @@ __all__ = ["RegimapMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class RegimapMapper(Mapper):
     """Register-file-first placement (REGIMap-style)."""
 

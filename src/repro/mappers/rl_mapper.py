@@ -38,6 +38,7 @@ distribution each action was drawn from.
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -104,6 +105,7 @@ def weighted_permutation(
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class RLMapper(Mapper):
     """Tabular REINFORCE placement agent."""
 
@@ -117,18 +119,9 @@ class RLMapper(Mapper):
         year=2019,
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        episodes: int = 120,
-        lr: float = 0.4,
-        explore_temp: float = 1.0,
-    ) -> None:
-        super().__init__(seed)
-        self.episodes = episodes
-        self.lr = lr
-        self.explore_temp = explore_temp
+    episodes: int = 120
+    lr: float = 0.4
+    explore_temp: float = 1.0
 
     # ------------------------------------------------------------------
     def _episode(
@@ -175,7 +168,7 @@ class RLMapper(Mapper):
                 # still rank partial placements.
                 return placed / len(order) - 1.0, None, steps
             placed += 1
-        mapping = state.to_mapping(self.info.name)
+        mapping = state.to_mapping()
         if mapping.validate(raise_on_error=False):
             return -0.5, None, steps
         # Success: prefer few route steps and short schedules.

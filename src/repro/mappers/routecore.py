@@ -58,9 +58,8 @@ suite compares against:
   :meth:`~repro.mappers.routing.Router.find_negotiated` with states
   ``(cell, kind, layer)`` encoded as flat indices into preallocated
   ``dist``/``prev`` arrays (reset by generation stamp, never
-  reallocated), driven by a :class:`DialQueue` when the cost regime is
-  integral and falling back to ``heapq`` (still over flat arrays)
-  when a caller passes fractional penalties.  State indices are
+  reallocated), driven by a :class:`DialQueue` (penalty and history
+  are non-negative integers, so every cost is).  State indices are
   monotone in the reference ``(cell, kind, layer)`` tuple order
   (``"hold" < "route"``), so tie-breaking — and therefore every path
   — is byte-identical to the reference searches.
@@ -554,7 +553,7 @@ class FlatTemporalEngine:
         self.allow_hold = allow_hold
         self._vis: list[int] = []
         self._par: list[int] = []
-        self._dist: list[float] = []
+        self._dist: list[int] = []
         self._cap = 0
         self._gen = 0
 
@@ -564,7 +563,7 @@ class FlatTemporalEngine:
             grow = need - self._cap
             self._vis.extend([0] * grow)
             self._par.extend([0] * grow)
-            self._dist.extend([0.0] * grow)
+            self._dist.extend([0] * grow)
             self._cap = need
 
     # -- greedy layered BFS (Router.find) ------------------------------
@@ -683,11 +682,14 @@ class FlatTemporalEngine:
         return out
 
     # -- negotiated A* (Router.find_negotiated) ------------------------
-    def find_negotiated(self, occ, req, *, history: dict, penalty: float):
+    def find_negotiated(self, occ, req, *, history: dict, penalty: int):
         """(steps, cost) + explored: distance-cut A* whose states
         ``(cell, kind, layer)`` become flat indices monotone in the
-        reference tuple order, so heap/Dial ties resolve as the
-        reference Dijkstra's do."""
+        reference tuple order, so Dial ties resolve as the reference
+        Dijkstra's do.  ``penalty`` and the ``history`` values are
+        non-negative ints: Dial buckets are keyed by the integer
+        ``f = g + h``, and its monotone-push invariant needs step
+        costs >= 0."""
         fg = self.fg
         span = req.t_consume - req.t_emit - 1
         dst = req.dst_cell
@@ -701,40 +703,17 @@ class FlatTemporalEngine:
         self._gen += 1
         g = self._gen
         vis, par, dist = self._vis, self._par, self._dist
-        # Integral cost regime -> Dial buckets on int(f); fractional
-        # (or negative — Dial's monotone-push invariant needs step
-        # costs >= 0) penalties/history fall back to one heap, same
-        # flat arrays.
-        integral = (
-            float(penalty).is_integer()
-            and penalty >= 0
-            and all(
-                float(v).is_integer() and v >= 0
-                for v in history.values()
-            )
-        )
         start = (req.src_cell * 2 + 1) * layers
-        dist[start] = 0.0
+        dist[start] = 0
         par[start] = -1
         vis[start] = g
-        f0 = span  # f = g + h, h = span - layer
-        if integral:
-            queue = DialQueue()
-            queue.push(f0, (0.0, start))
-        else:
-            heap = [(float(f0), 0.0, start)]
+        queue = DialQueue()
+        queue.push(span, (0, start))  # f = g + h, h = span - layer
         explored = 0
         best = -1
         lbase_fin = occ.link_time_base(req.t_consume)
-        while True:
-            if integral:
-                if not queue:
-                    break
-                _f, (d, idx) = queue.pop()
-            else:
-                if not heap:
-                    break
-                _f, d, idx = heapq.heappop(heap)
+        while queue:
+            _f, (d, idx) = queue.pop()
             if vis[idx] != g or d > dist[idx]:
                 continue
             explored += 1
@@ -770,11 +749,7 @@ class FlatTemporalEngine:
                 c2 = reach[ri]
                 if dist_to[c2] > cut:
                     continue
-                cost = (
-                    1.0 + history.get((c2, slot, ROUTE), 0.0)
-                    if history
-                    else 1.0
-                )
+                cost = 1 + history.get((c2, slot, ROUTE), 0) if history else 1
                 if not (base < 0 or occ.can_route_i(value, base + c2)):
                     cost += penalty
                 nd = d + cost
@@ -783,16 +758,9 @@ class FlatTemporalEngine:
                     dist[nidx] = nd
                     par[nidx] = idx
                     vis[nidx] = g
-                    if integral:
-                        queue.push(int(nd) + h, (nd, nidx))
-                    else:
-                        heapq.heappush(heap, (nd + h, nd, nidx))
+                    queue.push(nd + h, (nd, nidx))
             if dist_to[cell] <= cut:
-                cost = (
-                    1.0 + history.get((cell, slot, HOLD), 0.0)
-                    if history
-                    else 1.0
-                )
+                cost = 1 + history.get((cell, slot, HOLD), 0) if history else 1
                 if not (
                     rf_size[cell] > 0
                     if base < 0
@@ -805,10 +773,7 @@ class FlatTemporalEngine:
                     dist[nidx] = nd
                     par[nidx] = idx
                     vis[nidx] = g
-                    if integral:
-                        queue.push(int(nd) + h, (nd, nidx))
-                    else:
-                        heapq.heappush(heap, (nd + h, nd, nidx))
+                    queue.push(nd + h, (nd, nidx))
         if best < 0:
             return None, explored
         out: list[Step] = []

@@ -34,7 +34,7 @@ against the unpruned ``ReferenceRouter`` in ``tests/oracles``).  In
 :meth:`Router.find_negotiated` the same admissible reasoning gives the
 A* heuristic: every one of the ``span - layer`` remaining layers costs
 at least 1, and the distance table supplies the reachability cut (an
-infinite heuristic).  Ordering the heap by ``(f, g, state)`` keeps
+infinite heuristic).  Ordering the queue by ``(f, g, state)`` keeps
 tie-breaking identical to plain Dijkstra.
 
 Both searches run on the flat-array core
@@ -47,8 +47,8 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from dataclasses import dataclass
 from repro.arch.cgra import CGRA
 from repro.arch.tec import HOLD, ROUTE, Step
 from repro.core.resources import Occupancy
@@ -129,16 +129,17 @@ class Router:
         occ: Occupancy,
         req: RouteRequest,
         *,
-        history: dict | None = None,
-        penalty: float = 10.0,
-    ) -> tuple[list[Step], float] | None:
+        history: dict[tuple, int] | None = None,
+        penalty: int = 10,
+    ) -> tuple[list[Step], int] | None:
         """PathFinder-style search: congestion is costed, not forbidden.
 
-        Returns ``(steps, cost)``; cost counts one per step plus
-        ``penalty`` (scaled by historical congestion) for each step
-        whose resource is already occupied by another value.  The SPR
-        mapper iterates: route all edges, raise history on overused
-        slots, repeat until no overuse.
+        Returns ``(steps, cost)``; cost counts one per step plus its
+        ``history`` count, plus ``penalty`` for each step whose
+        resource is already occupied by another value.  Costs are
+        non-negative integers, which the bucket-queue search relies on.
+        The SPR mapper iterates: route all edges, raise history on
+        overused slots, repeat until no overuse.
         """
         span = req.t_consume - req.t_emit - 1
         if span < 0:
@@ -149,7 +150,7 @@ class Router:
             # for this value (congestion on it cannot be negotiated
             # away, there is no step left to pay a penalty on).
             if self._final_ok(occ, req, Step(req.src_cell, req.t_emit, ROUTE)):
-                return [], 0.0
+                return [], 0
             return None
         if self._dist[req.src_cell][req.dst_cell] > span + 1:
             return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
@@ -35,6 +36,7 @@ __all__ = ["SimulatedAnnealingSpatialMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class SimulatedAnnealingSpatialMapper(Mapper):
     """SA over injective bindings, wirelength objective."""
 
@@ -48,22 +50,11 @@ class SimulatedAnnealingSpatialMapper(Mapper):
         year=2020,
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        t_start: float = 4.0,
-        t_end: float = 0.05,
-        cooling: float = 0.92,
-        moves_per_temp: int = 60,
-        restarts: int = 4,
-    ) -> None:
-        super().__init__(seed)
-        self.t_start = t_start
-        self.t_end = t_end
-        self.cooling = cooling
-        self.moves_per_temp = moves_per_temp
-        self.restarts = restarts
+    t_start: float = 4.0
+    t_end: float = 0.05
+    cooling: float = 0.92
+    moves_per_temp: int = 60
+    restarts: int = 4
 
     def _anneal(
         self, dfg: DFG, cgra: CGRA, rng: random.Random
@@ -154,4 +145,4 @@ class SimulatedAnnealingSpatialMapper(Mapper):
                     attempts=r + 1,
                 )
             tracer.count(ROUTING_ATTEMPTS)
-            return finalize(dfg, cgra, binding, self.info.name)
+            return finalize(dfg, cgra, binding)

@@ -29,7 +29,7 @@ fresh encoding per II decided by chronological DPLL) lives in
 
 from __future__ import annotations
 
-from typing import Iterator
+from dataclasses import dataclass
 
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
@@ -37,7 +37,6 @@ from repro.core.mapping import Mapping
 from repro.core.registry import register
 from repro.ir.dfg import DFG
 from repro.mappers import adjplace
-from repro.mappers.regraph import split_dist0_edges
 from repro.obs.tracer import CANDIDATES_EXPLORED, ROUTING_ATTEMPTS, get_tracer
 from repro.solvers.sat import CNF, SatSolver
 
@@ -122,6 +121,7 @@ class _IncrementalModel:
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class SATMapper(Mapper):
     """CNF encoding of the adjacency-placement model."""
 
@@ -136,21 +136,8 @@ class SATMapper(Mapper):
         exact=True,
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        conflict_limit: int = 200_000,
-        max_route_rounds: int = 1,
-    ) -> None:
-        super().__init__(seed)
-        self.conflict_limit = conflict_limit
-        self.max_route_rounds = max_route_rounds
-
-    def cache_token(self) -> str:
-        return (
-            f"climit={self.conflict_limit};rounds={self.max_route_rounds}"
-        )
+    conflict_limit: int = 200_000
+    max_route_rounds: int = 1
 
     def _solve(
         self, model: _IncrementalModel, dfg: DFG, cgra: CGRA, ii: int
@@ -172,31 +159,21 @@ class SATMapper(Mapper):
         tracer = get_tracer()
         undetermined = False
         models: dict[int, _IncrementalModel] = {}
-        works: dict[int, DFG] = {}
 
-        def tries(ii_try: int) -> Iterator[Mapping | None]:
+        def solve(
+            r: int, work: DFG, ii_try: int
+        ) -> dict[int, adjplace.Slot] | None:
             nonlocal undetermined
-            for rounds in range(self.max_route_rounds + 1):
-                work = works.get(rounds)
-                if work is None:
-                    work = (
-                        dfg if rounds == 0 else split_dist0_edges(dfg, rounds)
-                    )
-                    works[rounds] = work
-                mapping = None
-                with tracer.span("route_round", round=rounds):
-                    tracer.count(CANDIDATES_EXPLORED, work.op_count())
-                    model = models.get(rounds)
-                    if model is None:
-                        model = models[rounds] = _IncrementalModel()
-                    assign, limited = self._solve(model, work, cgra, ii_try)
-                    undetermined = undetermined or limited
-                    if assign is not None:
-                        tracer.count(ROUTING_ATTEMPTS)
-                        mapping = adjplace.build_mapping(
-                            work, cgra, ii_try, assign, self.info.name
-                        )
-                yield mapping
+            with tracer.span("route_round", round=r):
+                tracer.count(CANDIDATES_EXPLORED, work.op_count())
+                model = models.get(r)
+                if model is None:
+                    model = models[r] = _IncrementalModel()
+                assign, limited = self._solve(model, work, cgra, ii_try)
+                undetermined = undetermined or limited
+                if assign is not None:
+                    tracer.count(ROUTING_ATTEMPTS)
+            return assign
 
         def failure() -> str:
             if undetermined:
@@ -207,4 +184,10 @@ class SATMapper(Mapper):
                 )
             return f"UNSAT for every windowed model on {cgra.name}"
 
-        return self.search(dfg, cgra, ii, tries, failure)
+        return self.search(
+            dfg, cgra, ii,
+            adjplace.insertion_tries(
+                dfg, cgra, self.max_route_rounds, solve
+            ),
+            failure,
+        )

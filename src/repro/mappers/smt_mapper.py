@@ -41,7 +41,7 @@ lazy-SMT trade-off.
 
 from __future__ import annotations
 
-from typing import Iterator
+from dataclasses import dataclass
 
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
@@ -49,7 +49,6 @@ from repro.core.mapping import Mapping
 from repro.core.registry import register
 from repro.ir.dfg import DFG
 from repro.mappers import adjplace
-from repro.mappers.regraph import split_dist0_edges
 from repro.solvers.csp import CSP, CSPTimeout, CSPUnsat
 from repro.solvers.sat import CNF, SatSolver
 
@@ -110,6 +109,7 @@ class _Skeleton:
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class SMTMapper(Mapper):
     """Lazy SMT: SAT binding skeleton + difference-logic scheduling."""
 
@@ -124,24 +124,9 @@ class SMTMapper(Mapper):
         exact=True,
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        max_models: int = 200,
-        max_route_rounds: int = 1,
-        offset_window: int | None = None,
-    ) -> None:
-        super().__init__(seed)
-        self.max_models = max_models
-        self.max_route_rounds = max_route_rounds
-        self.offset_window = offset_window
-
-    def cache_token(self) -> str:
-        return (
-            f"models={self.max_models};rounds={self.max_route_rounds}"
-            f";window={self.offset_window}"
-        )
+    max_models: int = 200
+    max_route_rounds: int = 1
+    offset_window: int | None = None
 
     # ------------------------------------------------------------------
     def _theory_schedule(
@@ -299,35 +284,27 @@ class SMTMapper(Mapper):
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         skeletons: dict[int, _Skeleton] = {}
-        works: dict[int, DFG] = {}
 
-        def tries(ii_try: int) -> Iterator[Mapping | None]:
-            for rounds in range(self.max_route_rounds + 1):
-                work = works.get(rounds)
-                if work is None:
-                    work = (
-                        dfg if rounds == 0 else split_dist0_edges(dfg, rounds)
-                    )
-                    works[rounds] = work
-                skeleton = skeletons.get(rounds)
-                if skeleton is None:
-                    skeleton = skeletons[rounds] = _Skeleton(work, cgra)
-                solved = (
-                    self._solve(skeleton, work, cgra, ii_try)
-                    if skeleton.ok
-                    else None
-                )
-                if solved is None:
-                    yield None
-                    continue
-                binding, schedule = solved
-                assign = {
-                    nid: (binding[nid], schedule[nid]) for nid in binding
-                }
-                yield adjplace.build_mapping(
-                    work, cgra, ii_try, assign, self.info.name
-                )
+        def solve(
+            r: int, work: DFG, ii_try: int
+        ) -> dict[int, adjplace.Slot] | None:
+            skeleton = skeletons.get(r)
+            if skeleton is None:
+                skeleton = skeletons[r] = _Skeleton(work, cgra)
+            solved = (
+                self._solve(skeleton, work, cgra, ii_try)
+                if skeleton.ok
+                else None
+            )
+            if solved is None:
+                return None
+            binding, schedule = solved
+            return {nid: (binding[nid], schedule[nid]) for nid in binding}
 
         return self.search(
-            dfg, cgra, ii, tries, f"SMT skeleton exhausted on {cgra.name}"
+            dfg, cgra, ii,
+            adjplace.insertion_tries(
+                dfg, cgra, self.max_route_rounds, solve
+            ),
+            f"SMT skeleton exhausted on {cgra.name}",
         )

@@ -240,7 +240,7 @@ def route_spatial(
 
 
 def finalize(
-    dfg: DFG, cgra: CGRA, binding: dict[int, int], mapper: str
+    dfg: DFG, cgra: CGRA, binding: dict[int, int]
 ) -> Mapping | None:
     """Route the binding into a candidate Mapping; None if it does not
     route.  Validation is the caller's attempt loop's
@@ -254,5 +254,4 @@ def finalize(
         kind="spatial",
         binding=dict(binding),
         routes=routes,
-        mapper=mapper,
     )

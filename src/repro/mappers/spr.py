@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.arch.cgra import CGRA
@@ -28,6 +29,7 @@ __all__ = ["SPRMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class SPRMapper(Mapper):
     """SA placement + negotiated-congestion routing (SPR-style)."""
 
@@ -41,16 +43,8 @@ class SPRMapper(Mapper):
         year=2009,
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        negotiation_rounds: int = 12,
-        perturbations: int = 6,
-    ) -> None:
-        super().__init__(seed)
-        self.negotiation_rounds = negotiation_rounds
-        self.perturbations = perturbations
+    negotiation_rounds: int = 12
+    perturbations: int = 6
 
     # ------------------------------------------------------------------
     def _placement(
@@ -123,7 +117,7 @@ class SPRMapper(Mapper):
             if not dfg.node(e.src).op.is_pseudo
             and not dfg.node(e.dst).op.is_pseudo
         ]
-        history: dict[tuple, float] = {}
+        history: dict[tuple, int] = {}
         for rnd in range(self.negotiation_rounds):
             occ = Occupancy(cgra, ii)
             for nid, cell in binding.items():
@@ -142,7 +136,7 @@ class SPRMapper(Mapper):
                 if req.t_consume <= req.t_emit:
                     return None  # timing bug: unfixable by routing
                 found = router.find_negotiated(
-                    occ, req, history=history, penalty=8.0 * (rnd + 1)
+                    occ, req, history=history, penalty=8 * (rnd + 1)
                 )
                 if found is None:
                     return None
@@ -175,7 +169,7 @@ class SPRMapper(Mapper):
             if ok:
                 return routes
             for key, n in overused.items():
-                history[key] = history.get(key, 0.0) + float(n)
+                history[key] = history.get(key, 0) + n
         return None
 
     # ------------------------------------------------------------------
@@ -195,7 +189,7 @@ class SPRMapper(Mapper):
                 yield None if routes is None else Mapping(
                     dfg, cgra, kind="modulo",
                     binding=binding, schedule=schedule,
-                    routes=routes, ii=ii_try, mapper=self.info.name,
+                    routes=routes, ii=ii_try,
                 )
 
         return self.search(

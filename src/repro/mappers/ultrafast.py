@@ -11,6 +11,8 @@ trade, which is the point of including it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -23,6 +25,7 @@ __all__ = ["UltraFastMapper"]
 
 
 @register
+@dataclass(eq=False, kw_only=True)
 class UltraFastMapper(Mapper):
     """First-fit, no-backtracking, II-escalating scheduler."""
 

@@ -24,6 +24,7 @@ from repro.cache import (
     mapping_cache,
     reset_cache,
 )
+from repro.core.registry import create
 from repro.core.serialize import mapping_to_json
 from repro.dse.explorer import explore
 from repro.ir import kernels
@@ -204,13 +205,27 @@ def test_ilp_mappers_key_names_the_solver(cgra, mapper):
     """The solver engine is part of the key, so entries written by a
     build with a different ILP engine miss instead of aliasing."""
     dfg = kernels.kernel("dot_product")
+    token = create(mapper).cache_token()
+    assert token.startswith("solver=highs-milp;")
     with mapping_cache() as cache:
         map_dfg(dfg, cgra, mapper=mapper)
-        keyed = cache.key(dfg, cgra, mapper=mapper, token="solver=highs-milp")
+        keyed = cache.key(dfg, cgra, mapper=mapper, token=token)
         bare = cache.key(dfg, cgra, mapper=mapper)
         assert keyed != bare
         assert cache.get(keyed, dfg, cgra) is not None
         assert cache.get(bare, dfg, cgra) is None
+
+
+def test_options_are_part_of_the_key(cgra):
+    """A mapping made under non-default options is never the answer to
+    a default call of the same problem: the second map misses."""
+    dfg = kernels.kernel("dot_product")
+    with mapping_cache() as cache:
+        map_dfg(dfg, cgra, mapper="dresc", moves_per_temp=5)
+        map_dfg(dfg, cgra, mapper="dresc")
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
+        map_dfg(dfg, cgra, mapper="dresc", moves_per_temp=5)
+        assert cache.stats.hits == 1
 
 
 # ---------------------------------------------------------------------------

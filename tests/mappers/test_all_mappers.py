@@ -4,6 +4,8 @@ This is the executable core of Table I — each (mapper, kernel) cell
 must yield a mapping that passes the validator, or raise MapFailure.
 """
 
+import inspect
+
 import pytest
 
 from repro.api import available_mappers, map_dfg
@@ -12,7 +14,7 @@ from repro.cache import mapping_cache
 from repro.core.exceptions import MapFailure
 from repro.core.mapping import Mapping
 from repro.core.problem import MappingProblem
-from repro.core.registry import catalog, create, names
+from repro.core.registry import catalog, create, get, names
 from repro.core.serialize import mapping_to_doc
 from repro.ir import kernels
 
@@ -111,6 +113,35 @@ def test_map_returns_only_validated_objects(cgra, monkeypatch, mname):
             hit = create(mname, **options).map(dfg, cgra)
             assert cache.stats.hits == 1
             assert any(m is hit for m in checked)
+
+
+#: Non-default values for the options whose default does not say how
+#: to change it.
+_OTHER = {"mappers": ("list_sched",), "policy": "best"}
+
+
+def _other(name, default):
+    if name in _OTHER:
+        return _OTHER[name]
+    if default is None:
+        return 3
+    return default + 1 if isinstance(default, int) else default / 2
+
+
+@pytest.mark.parametrize("mname", sorted(names()))
+def test_cache_token_covers_every_option(mname):
+    """The cache and dedup identity is the whole configuration: two
+    default instances agree, and changing any single option changes
+    the token, so no option can be left out of the key."""
+    token = create(mname).cache_token()
+    assert create(mname).cache_token() == token
+    options = [
+        p for p in inspect.signature(get(mname)).parameters.values()
+        if p.name != "seed"
+    ]
+    for p in options:
+        changed = create(mname, **{p.name: _other(p.name, p.default)})
+        assert changed.cache_token() != token, p.name
 
 
 def _outcome(mapper, dfg, cgra):

@@ -29,7 +29,7 @@ def test_place_routes_incident_edges(cgra):
     assert st.place(a, 0, 0)
     assert st.place(b, 1, 1)
     assert st.unrouted_edges() == []
-    m = st.to_mapping("t")
+    m = st.to_mapping()
     assert m.validate() == []
 
 

@@ -305,7 +305,7 @@ def _route_corpus(cgra, seed, n_cases, *, with_history=False):
                     rng.randrange(8),
                     HOLD if rng.random() < 0.5 else ROUTE,
                 )
-                history[key] = float(rng.randrange(1, 4))
+                history[key] = rng.randrange(1, 4)
         yield occ, req, history
 
 
@@ -321,18 +321,15 @@ def test_router_find_flat_matches_scalar(arch, allow_hold):
 
 
 @pytest.mark.parametrize("arch", ["simple4x4", "hetero4x4"])
-@pytest.mark.parametrize("penalty", [10.0, 2.5])
-def test_router_find_negotiated_flat_matches_scalar(arch, penalty):
+def test_router_find_negotiated_flat_matches_scalar(arch):
     cgra = by_name(arch)
     flat = Router(cgra)
     ref = ReferenceRouter(cgra)
     for occ, req, history in _route_corpus(
         cgra, 4242, 30, with_history=True
     ):
-        a = flat.find_negotiated(
-            occ, req, history=history, penalty=penalty
-        )
-        b = ref.find_negotiated(occ, req, history=history, penalty=penalty)
+        a = flat.find_negotiated(occ, req, history=history, penalty=10)
+        b = ref.find_negotiated(occ, req, history=history, penalty=10)
         assert (a is None) == (b is None)
         if a is not None:
             assert a[0] == b[0]
@@ -340,13 +337,12 @@ def test_router_find_negotiated_flat_matches_scalar(arch, penalty):
 
 
 #: Router's CANDIDATES_EXPLORED totals over the corpora above:
-#: (find, find_negotiated at penalty 10.0 — the Dial-queue regime —
-#: and at penalty 2.5 — the heap regime).
+#: (find, find_negotiated at penalty 10).
 EXPLORED_TOTALS = {
-    "simple4x4": (1517, 382, 382),
-    "adres4x4": (1625, 479, 479),
-    "hycube4x4": (1985, 617, 617),
-    "hetero4x4": (1517, 382, 382),
+    "simple4x4": (1517, 382),
+    "adres4x4": (1625, 479),
+    "hycube4x4": (1985, 617),
+    "hetero4x4": (1517, 382),
 }
 
 
@@ -374,8 +370,7 @@ def test_router_explored_totals_pinned(arch):
     nego_cases = list(_route_corpus(cgra, 4242, 30, with_history=True))
     got = (
         _explored(router, find_cases),
-        _explored(router, nego_cases, penalty=10.0),
-        _explored(router, nego_cases, penalty=2.5),
+        _explored(router, nego_cases, penalty=10),
     )
     assert got == EXPLORED_TOTALS[arch]
     # Pruning only ever removes states from the reference's BFS.

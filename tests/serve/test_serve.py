@@ -162,6 +162,30 @@ def test_relabeled_isomorphic_inline_dfgs_do_not_dedup():
     assert b_ids == {i + shift for i in a_ids}
 
 
+def test_requests_differing_only_in_options_do_not_dedup():
+    """Options are part of the dedup key: a request is never answered
+    with a mapping computed under another request's options."""
+    base = {"kernel": "dot_product", "arch": "simple4x4", "mapper": "dresc"}
+    responses, summary, _ = roundtrip(
+        [
+            {"id": "default", **base},
+            {"id": "short", **base, "options": {"moves_per_temp": 5}},
+        ],
+        jobs=2,
+    )
+    assert summary["deduped"] == 0
+    for r in responses:
+        assert r["ok"] and not r["deduped"]
+    dfg, cgra = kernels.kernel("dot_product"), presets.by_name("simple4x4")
+    default, short = responses
+    assert canonical(default["mapping"]) == canonical(
+        mapping_to_doc(create("dresc").map(dfg, cgra))
+    )
+    assert canonical(short["mapping"]) == canonical(
+        mapping_to_doc(create("dresc", moves_per_temp=5).map(dfg, cgra))
+    )
+
+
 def test_map_failure_is_a_structured_error_not_a_crash():
     # sobel_x cannot fit spatially on a 2x2: a deterministic MapFailure
     responses, summary, _ = roundtrip(

@@ -14,11 +14,22 @@ from repro.bench import MatrixResult, ascii_table, run_matrix
 EXACT = ["ilp", "sat", "csp", "bnb"]
 HEURISTIC = ["list_sched", "ultrafast", "crimson"]
 KERNELS = ["dot_product", "if_select", "butterfly", "sobel_x"]
+#: sweeps per run; each cell's time is its best.  On dot_product the
+#: fastest exact and heuristic cells both take about 0.3 ms, so a
+#: single sweep's verdict is decided by timer noise.
+ROUNDS = 3
 
 
 def _sweep():
     cgra = presets.simple_cgra(3, 3)
-    return run_matrix(EXACT + HEURISTIC, KERNELS, cgra)
+    sweeps = [
+        run_matrix(EXACT + HEURISTIC, KERNELS, cgra) for _ in range(ROUNDS)
+    ]
+    results = sweeps[0]
+    for cells in zip(*sweeps):
+        assert len({(r.ok, r.ii) for r in cells}) == 1, "sweeps disagree"
+        cells[0].time_ms = min(r.time_ms for r in cells)
+    return results
 
 
 def test_exact_vs_heuristic(benchmark):

@@ -9,72 +9,26 @@ This bench reproduces that shape in miniature: array sizes sweep from
 up with the array while the hierarchical mapper stays constructive-
 fast, and the IIs remain comparable.  (At 8x8 the annealer already
 needs minutes — the bench stops where the point is made.)
-
-Run as a script with ``--large`` for the *spatial* half of the same
-story: dataflow chains of 100-200 ops on a 16x16 fabric, the clustered
-two-phase placer against the flat spatial annealer and DRESC.  Emits
-``BENCH_scale.json`` (committed) with the headline claim machine-
-checked: the 200-op chain places in seconds via partition + analytical
-seed + batched refinement, while the flat annealer fails outright and
-the annealing-based alternatives that do finish need an order of
-magnitude longer.
 """
 
-import argparse
-import json
-import os
-import sys
 import time
-from pathlib import Path
 
 from repro.arch import presets
 from repro.bench import ascii_table
-from repro.core.exceptions import MapFailure
 from repro.core.registry import create
 from repro.ir import kernels, randdfg
-from repro.parallel import TaskTimeout, time_limit
 
 SIZES = [4, 5, 6]
 
-#: --large sweep: chain lengths on the 16x16 fabric, and the per-cell
-#: wall-clock budget.  The chain is the canonical bandwidth-friendly
-#: scaling instance (``layered:N:1:1`` — see repro.ir.kernels spec
-#: names); braided graphs stress routability instead and are covered
-#: by the fuzzer.
-LARGE_ARCH = "simple16x16"
-LARGE_SIZES = [100, 150, 200]
-LARGE_TIMEOUT = 60.0
-#: cluster vs the flat spatial annealer and the spatial force-directed
-#: mapper (like-for-like: all three emit one-cell-per-op spatial
-#: bindings), with DRESC as the temporal reference point — it solves a
-#: different problem (modulo schedule, II >= 1, values in RFs), so its
-#: row contextualises the wall-clock but does not gate the target.
-LARGE_MAPPERS = ("cluster", "sa_spatial", "graph_drawing", "dresc")
-LARGE_FLAGSHIP_ONLY = ("graph_drawing",)  # minutes-slow: flagship cell only
-
-#: Extra-large fabrics: the clustered placer on the 150-op chain.
-#: The 32x32 cell gates (it must keep succeeding inside the budget);
-#: the 64x64 cell is informational — it demonstrates the flat routing
-#: core holds up at 4096 cells, but a slow CI box must not fail the
-#: bench over it.
-XL_CELLS = (
-    ("simple32x32", "layered:150:1:1", True),
-    ("simple64x64", "layered:150:1:1", False),
-)
-
-#: Routing-engine comparison (DESIGN.md §13): PathFinder negotiation
-#: over displaced-serpentine placements of the 150-op chain on 32x32 —
-#: mostly dedicated corridors plus every-k-th-op contention pockets,
-#: the mid-anneal shape where incremental rip-up shines.  The flat
-#: incremental engine must beat the scalar reference by
-#: ``ROUTE_TARGET_SPEEDUP`` with identical success.
-ROUTE_ARCH = "simple32x32"
-ROUTE_KERNEL = "layered:150:1:1"
-ROUTE_DISPLACEMENTS = (3, 5)
-ROUTE_TARGET_SPEEDUP = 3.0
-
 
 def _sweep():
+    # Warm up untimed, on an array the sweep does not time: the first
+    # map in a process pays the mapper stack's imports (scipy among
+    # them, most of a second), which would otherwise land on the 4x4
+    # cell and shrink the growth ratio below.
+    warm = presets.simple_cgra(3, 3)
+    for mname in ("dresc", "himap"):
+        create(mname).map(kernels.kernel("dot_product"), warm)
     rows = []
     times = {"dresc": {}, "himap": {}}
     iis = {"dresc": {}, "himap": {}}
@@ -123,269 +77,3 @@ def test_scalability_sweep(benchmark):
         f" {times['himap'][big]:.2f}s"
     )
     assert growth_sa > 3.0
-
-
-# ---------------------------------------------------------------------------
-# --large: spatial placement at 16x16 scale
-# ---------------------------------------------------------------------------
-def _large_cell(
-    mname: str, kname: str, cgra, timeout: float
-) -> dict:
-    dfg = kernels.kernel(kname)
-    mapper = create(mname, seed=0)
-    t0 = time.perf_counter()
-    try:
-        with time_limit(timeout):
-            mapping = mapper.map(dfg, cgra)
-        dt = time.perf_counter() - t0
-        return {
-            "mapper": mname,
-            "kernel": kname,
-            "ok": mapping.validate(raise_on_error=False) == [],
-            "kind": mapping.kind,
-            "time_s": round(dt, 3),
-        }
-    except (MapFailure, TaskTimeout) as ex:
-        dt = time.perf_counter() - t0
-        return {
-            "mapper": mname,
-            "kernel": kname,
-            "ok": False,
-            "kind": None,
-            "time_s": round(dt, 3),
-            "error": type(ex).__name__,
-        }
-
-
-# ---------------------------------------------------------------------------
-# routing-engine comparison (flat vs scalar negotiation)
-# ---------------------------------------------------------------------------
-def _serpentine_binding(dfg, cgra, displace_every: int) -> dict:
-    """Chain ops on the even (x, y) sub-lattice, serpentine order, with
-    every ``displace_every``-th op nudged one cell diagonally.
-
-    The undisplaced layout gives every edge its own two-hop corridor
-    (trivial negotiation); each displaced op drags its two incident
-    edges across a neighbour's corridor, creating the local contention
-    pockets a mid-anneal placement exhibits.  All placements here are
-    collision-free by construction on a >= 32x32 fabric.
-    """
-    nodes = [n.nid for n in dfg.nodes() if not n.op.is_pseudo]
-    binding = {}
-    for i, nid in enumerate(nodes):
-        row, col = i // 16, i % 16
-        x = 2 * col if row % 2 == 0 else 2 * (15 - col)
-        y = 2 * row
-        if displace_every and i % displace_every == displace_every - 1:
-            x = min(x + 1, cgra.width - 1)
-            y = min(y + 1, cgra.height - 1)
-        binding[nid] = cgra.cell_at(x, y).cid
-    if len(set(binding.values())) != len(binding):
-        raise AssertionError("serpentine placement collided")
-    return binding
-
-
-def _time_route(dfg, cgra, binding, negotiate, budget_s=1.5):
-    """(best-of wall-clock seconds, converged?) for one negotiator.
-
-    ``negotiate(cgra, binding, nets)`` gets the same longest-first net
-    list :func:`route_negotiated` builds, computed inside the timed
-    region as ``route_negotiated`` computes it.
-    """
-    from repro.mappers.spatial_common import negotiation_nets
-
-    best = float("inf")
-    ok = False
-    t_start = time.perf_counter()
-    reps = 0
-    while reps < 3 or time.perf_counter() - t_start < budget_s:
-        t0 = time.perf_counter()
-        routes = negotiate(
-            cgra, binding, negotiation_nets(dfg, cgra, binding)
-        )
-        best = min(best, time.perf_counter() - t0)
-        ok = routes is not None
-        reps += 1
-        if reps >= 200:
-            break
-    return best, ok
-
-
-def route_sweep() -> dict:
-    """Flat-vs-scalar negotiated routing; the ``route`` report block.
-
-    ``scalar`` is the dict/heapq reference negotiator from
-    ``tests/oracles``; ``flat_full``/``flat_inc`` are
-    :func:`repro.mappers.routecore.negotiate_spatial` on the full and
-    the incremental (production) rip-up schedule.
-    """
-    from functools import partial
-
-    from repro.mappers.routecore import negotiate_spatial
-
-    sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
-    from oracles import negotiate_reference
-
-    cgra = presets.by_name(ROUTE_ARCH)
-    dfg = kernels.kernel(ROUTE_KERNEL)
-    engines = (
-        ("scalar", negotiate_reference),
-        ("flat_full", partial(negotiate_spatial, incremental=False)),
-        ("flat_inc", negotiate_spatial),
-    )
-    rows = []
-    totals = {label: 0.0 for label, _ in engines}
-    success_equal = True
-    for k in ROUTE_DISPLACEMENTS:
-        binding = _serpentine_binding(dfg, cgra, k)
-        times, oks = {}, {}
-        for label, negotiate in engines:
-            t, ok = _time_route(dfg, cgra, binding, negotiate)
-            times[label], oks[label] = t, ok
-            totals[label] += t
-        success_equal = success_equal and (
-            oks["scalar"] == oks["flat_full"] == oks["flat_inc"]
-        )
-        rows.append(
-            {
-                "displace_every": k,
-                "converged": oks["scalar"],
-                "scalar_ms": round(1000 * times["scalar"], 2),
-                "flat_full_ms": round(1000 * times["flat_full"], 2),
-                "flat_inc_ms": round(1000 * times["flat_inc"], 2),
-                "speedup_full": round(
-                    times["scalar"] / times["flat_full"], 2
-                ),
-                "speedup_inc": round(
-                    times["scalar"] / times["flat_inc"], 2
-                ),
-            }
-        )
-    speedup_inc = totals["scalar"] / totals["flat_inc"]
-    return {
-        "arch": ROUTE_ARCH,
-        "kernel": ROUTE_KERNEL,
-        "target_speedup": ROUTE_TARGET_SPEEDUP,
-        "cells": rows,
-        "speedup_full": round(totals["scalar"] / totals["flat_full"], 2),
-        "speedup_inc": round(speedup_inc, 2),
-        "equal_success": success_equal,
-        "ok": success_equal and speedup_inc >= ROUTE_TARGET_SPEEDUP,
-    }
-
-
-def large_sweep(timeout: float = LARGE_TIMEOUT) -> dict:
-    """The 16x16 chain sweep; returns the BENCH_scale.json payload."""
-    cgra = presets.by_name(LARGE_ARCH)
-    flagship = f"layered:{LARGE_SIZES[-1]}:1:1"
-    cells = []
-    for n in LARGE_SIZES:
-        kname = f"layered:{n}:1:1"
-        for mname in LARGE_MAPPERS:
-            if mname in LARGE_FLAGSHIP_ONLY and kname != flagship:
-                continue
-            cells.append(_large_cell(mname, kname, cgra, timeout))
-    by = {(c["mapper"], c["kernel"]): c for c in cells}
-    ours = by[("cluster", flagship)]
-    # The headline: cluster places the 200-op chain, and every mapper
-    # attacking the *same problem* (a spatial binding) either
-    # fails/times out or needs >= 10x the wall-clock.  DRESC's modulo
-    # row is reported alongside for scale (it maps temporally, at
-    # II >= 1 — not the one-result-per-cycle spatial artifact).
-    outscaled = all(
-        (not by[(m, flagship)]["ok"])
-        or by[(m, flagship)]["time_s"] >= 10 * ours["time_s"]
-        for m in LARGE_MAPPERS
-        if m != "cluster"
-        and by[(m, flagship)].get("kind") in (None, "spatial")
-    )
-    dresc = by.get(("dresc", flagship))
-    # Extra-large fabrics (32x32 gating, 64x64 informational).
-    xl_cells = []
-    xl_ok = True
-    for arch, kname, gating in XL_CELLS:
-        cell = _large_cell(
-            "cluster", kname, presets.by_name(arch), timeout
-        )
-        cell["arch"] = arch
-        cell["gating"] = gating
-        xl_cells.append(cell)
-        if gating:
-            xl_ok = xl_ok and cell["ok"]
-    # Flat vs scalar negotiated routing (DESIGN.md §13).
-    route = route_sweep()
-    return {
-        "benchmark": "scalability-large",
-        "arch": LARGE_ARCH,
-        "timeout_s": timeout,
-        "machine": {"cpu_count": os.cpu_count()},
-        "targets": {
-            "cluster_maps_200_op_chain": True,
-            "spatial_competitors_fail_or_10x_slower": True,
-            "cluster_maps_chain_on_32x32": True,
-            "flat_incremental_routing_3x": True,
-        },
-        "cells": cells,
-        "xl_cells": xl_cells,
-        "route": route,
-        "cluster_ok_at_200": ours["ok"],
-        "spatial_competitors_fail_or_10x_slower": outscaled,
-        "dresc_temporal_reference_ratio": (
-            round(dresc["time_s"] / max(ours["time_s"], 1e-9), 2)
-            if dresc and dresc["ok"]
-            else None
-        ),
-        "target_met": ours["ok"] and outscaled and xl_ok and route["ok"],
-    }
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--large", action="store_true",
-        help="run the 16x16 spatial sweep and emit BENCH_scale.json",
-    )
-    ap.add_argument(
-        "--timeout", type=float, default=LARGE_TIMEOUT, metavar="S",
-        help=f"per-cell wall-clock budget (default {LARGE_TIMEOUT})",
-    )
-    ap.add_argument(
-        "--out",
-        default=str(Path(__file__).parent / "BENCH_scale.json"),
-        help="output path for the JSON report",
-    )
-    args = ap.parse_args(argv)
-    if not args.large:
-        ap.error("this entry point only implements --large "
-                 "(the small sweep runs under pytest-benchmark)")
-    report = large_sweep(args.timeout)
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(ascii_table(
-        [
-            {k: ("-" if v is None else v) for k, v in c.items()}
-            for c in report["cells"]
-        ],
-        title="16x16 spatial scaling sweep",
-    ))
-    print("\n" + ascii_table(
-        [
-            {k: ("-" if v is None else v) for k, v in c.items()}
-            for c in report["xl_cells"]
-        ],
-        title="extra-large fabrics (cluster)",
-    ))
-    route = report["route"]
-    print("\n" + ascii_table(
-        route["cells"],
-        title=(
-            f"negotiated routing, {route['arch']}/{route['kernel']}"
-            f" (flat-inc {route['speedup_inc']}x, target"
-            f" {route['target_speedup']}x)"
-        ),
-    ))
-    print(f"\ntarget_met={report['target_met']} -> {args.out}")
-    return 0 if report["target_met"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

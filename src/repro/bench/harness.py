@@ -164,15 +164,9 @@ def _cell_keys(
     keys: list[str | None] = []
     for mname, kname, ii, opts, _trace in cells:
         try:
-            mapper = create(mname, **opts)
             keys.append(
                 active.key(
-                    kernel_lib.kernel(kname),
-                    cgra,
-                    mapper=mapper.info.name,
-                    seed=mapper.seed,
-                    ii=ii,
-                    token=mapper.cache_token(),
+                    kernel_lib.kernel(kname), cgra, create(mname, **opts), ii
                 )
             )
         except Exception:

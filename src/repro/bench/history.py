@@ -22,11 +22,13 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.arch.cgra import CGRA
 from repro.bench.harness import MatrixResult, _run_cell, ascii_table
+from repro.cache import mapping_cache
 from repro.obs.manifest import run_manifest
 from repro.obs.metrics import MetricsRegistry, metrics_scope
 from repro.parallel import pmap, warm_pool
@@ -35,6 +37,7 @@ __all__ = [
     "DEFAULT_HISTORY_DIR",
     "DEFAULT_REPEATS",
     "DEFAULT_SLICE",
+    "EXACT_SLICE",
     "PLACE_SLICE",
     "ROUTE_SLICE",
     "SERVE_BATCH",
@@ -44,6 +47,7 @@ __all__ = [
     "load_entries",
     "render_comparison",
     "render_entries",
+    "run_cache_slice",
     "run_serve_slice",
     "run_slice",
     "select_baseline",
@@ -61,6 +65,18 @@ DEFAULT_SLICE = (
     ("list_sched", "dot_product"),
     ("edge_centric", "sobel_x"),
     ("dresc", "dot_product"),
+)
+
+#: The exact-solver slice (``repro bench record --slice exact``): the
+#: CDCL SAT mapper on three kernels, the CSP mapper and HiGHS's ILP on
+#: one each — the survey's exact family, whose compile time the
+#: heuristic cells above do not exercise.
+EXACT_SLICE = (
+    ("sat", "dot_product"),
+    ("sat", "fir4"),
+    ("sat", "sobel_x"),
+    ("csp", "conv3x3"),
+    ("ilp", "fir4"),
 )
 
 #: The large-fabric placement slice (``repro bench record --slice
@@ -120,6 +136,36 @@ def _metric_class(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+def _row(
+    mapper: str, kernel: str, times: Iterable[float], ok: bool,
+    ii: int | None,
+) -> dict[str, Any]:
+    """One ledger cell: the median and minimum of its repeat times."""
+    times = sorted(times)
+    return {
+        "mapper": mapper,
+        "kernel": kernel,
+        "ok": ok,
+        "ii": ii,
+        "time_ms": round(statistics.median(times), 3),
+        "time_ms_min": round(times[0], 3),
+    }
+
+
+def _entry(
+    cgra: CGRA, label: str | None, repeats: int, jobs: int,
+    rows: list[dict[str, Any]], registry: MetricsRegistry,
+) -> dict[str, Any]:
+    return {
+        "schema": ENTRY_SCHEMA,
+        "manifest": run_manifest(cgra=cgra, label=label),
+        "repeats": repeats,
+        "jobs": jobs,
+        "cells": rows,
+        "metrics": registry.snapshot(),
+    }
+
+
 def _slice_cell(cgra: CGRA, cell: tuple[str, str]) -> MatrixResult:
     """pmap payload for the slice (module-level for pickling)."""
     mname, kname = cell
@@ -137,9 +183,12 @@ def run_slice(
     """Run the slice and build one (not yet appended) ledger entry.
 
     Each cell runs ``repeats`` times; the entry records the median
-    mapper wall-clock per cell, and the metrics snapshot of the whole
-    slice (every repeat counted — comparisons normalise by
-    ``repeats``).
+    mapper wall-clock per cell, the median wall-clock of one whole
+    pass over the cells (``wall_ms``: dispatch and result transfer
+    included, so a ``jobs=2`` entry's ``wall_ms`` over a ``jobs=1``
+    entry's is the pool's speedup on these cells), and the metrics
+    snapshot of the whole slice (every repeat counted — comparisons
+    normalise by ``repeats``).
 
     ``jobs > 1`` runs each repeat's cells over the persistent worker
     pool (warmed *before* the timed region, so the entry measures the
@@ -151,39 +200,83 @@ def run_slice(
     if jobs > 1:
         warm_pool(jobs)
     registry = MetricsRegistry()
-    rows: list[dict[str, Any]] = []
+    cells = list(cells)
+    per_cell: list[list[MatrixResult]] = [[] for _ in cells]
+    walls: list[float] = []
     with metrics_scope(registry):
-        cells = list(cells)
-        per_cell: list[list[MatrixResult]] = [[] for _ in cells]
         for _ in range(repeats):
-            for ci, res in enumerate(
-                pmap(_slice_cell, cells, jobs=jobs, shared=cgra)
-            ):
+            t0 = time.perf_counter()
+            results = pmap(_slice_cell, cells, jobs=jobs, shared=cgra)
+            walls.append(1000.0 * (time.perf_counter() - t0))
+            for ci, res in enumerate(results):
                 if not res.ok:
                     raise res.error
                 per_cell[ci].append(res.value)
-        for (mname, kname), runs in zip(cells, per_cell):
-            times = sorted(r.time_ms for r in runs)
-            rep = runs[0]
-            rows.append(
-                {
-                    "mapper": mname,
-                    "kernel": kname,
-                    "ok": all(r.ok for r in runs),
-                    "ii": rep.ii,
-                    "time_ms": round(statistics.median(times), 3),
-                    "time_ms_min": round(times[0], 3),
-                }
-            )
-    entry: dict[str, Any] = {
-        "schema": ENTRY_SCHEMA,
-        "manifest": run_manifest(cgra=cgra, label=label),
-        "repeats": repeats,
-        "jobs": jobs,
-        "cells": rows,
-        "metrics": registry.snapshot(),
-    }
+    rows = [
+        _row(mname, kname, (r.time_ms for r in runs),
+             all(r.ok for r in runs), runs[0].ii)
+        for (mname, kname), runs in zip(cells, per_cell)
+    ]
+    entry = _entry(cgra, label, repeats, jobs, rows, registry)
+    entry["wall_ms"] = round(statistics.median(walls), 3)
     return entry
+
+
+def _outcome(res: MatrixResult) -> tuple:
+    """A cell's result without its timings."""
+    return (res.ok, res.ii, res.schedule_length, res.utilization,
+            res.route_steps, res.error)
+
+
+def run_cache_slice(
+    cgra: CGRA,
+    *,
+    repeats: int = DEFAULT_REPEATS,
+    label: str | None = None,
+) -> dict[str, Any]:
+    """Run the cache slice and build one (not yet appended) entry.
+
+    Each repeat installs one fresh in-memory mapping cache and runs
+    the :data:`DEFAULT_SLICE` cells cold (every lookup misses and
+    stores), then warm (every lookup must hit).  The entry records a
+    ``cold`` and a ``warm`` row per cell, named ``cold``/``warm`` x
+    ``mapper/kernel``.
+
+    Raises RuntimeError when a warm cell misses or its result differs
+    from the cold cell's — a cache that stops serving, or serves a
+    different mapping, fails the slice outright rather than showing up
+    only as a slower timing.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    registry = MetricsRegistry()
+    cells = DEFAULT_SLICE
+    runs: dict[str, list[list[MatrixResult]]] = {
+        "cold": [[] for _ in cells], "warm": [[] for _ in cells],
+    }
+    with metrics_scope(registry):
+        for _ in range(repeats):
+            with mapping_cache() as cache:
+                cold = [_slice_cell(cgra, cell) for cell in cells]
+                for ci, cell in enumerate(cells):
+                    hits = cache.stats.hits
+                    warm = _slice_cell(cgra, cell)
+                    name = "/".join(cell)
+                    if cache.stats.hits == hits:
+                        raise RuntimeError(f"cache slice: warm {name} missed")
+                    if _outcome(warm) != _outcome(cold[ci]):
+                        raise RuntimeError(
+                            f"cache slice: warm {name} differs from cold"
+                        )
+                    runs["cold"][ci].append(cold[ci])
+                    runs["warm"][ci].append(warm)
+    rows = [
+        _row(phase, "/".join(cell), (r.time_ms for r in rs),
+             all(r.ok for r in rs), rs[0].ii)
+        for phase, per_cell in runs.items()
+        for cell, rs in zip(cells, per_cell)
+    ]
+    return _entry(cgra, label, repeats, 1, rows, registry)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +308,6 @@ def run_serve_slice(
     diff deterministically under ``compare_entries``.
     """
     import asyncio
-    import time
 
     from repro.api import map_dfg
     from repro.arch import presets
@@ -277,32 +369,14 @@ def run_serve_slice(
                     direct_ok = False
             direct_times.append(1000.0 * (time.perf_counter() - t0))
 
-    def row(mapper: str, kernel: str, runs: list[float],
-            okay: bool, ii: int | None) -> dict[str, Any]:
-        runs = sorted(runs)
-        return {
-            "mapper": mapper,
-            "kernel": kernel,
-            "ok": okay,
-            "ii": ii,
-            "time_ms": round(statistics.median(runs), 3),
-            "time_ms_min": round(runs[0], 3),
-        }
-
-    return {
-        "schema": ENTRY_SCHEMA,
-        "manifest": run_manifest(cgra=cgra, label=label),
-        "repeats": repeats,
-        "jobs": jobs,
-        "cells": [
-            row("serve", batch_cell, served["times"][batch_cell],
-                served["ok"][batch_cell], None),
-            row("serve", "single", served["times"]["single"],
-                served["ok"]["single"], served["single_ii"]),
-            row("direct", batch_cell, direct_times, direct_ok, None),
-        ],
-        "metrics": registry.snapshot(),
-    }
+    rows = [
+        _row("serve", batch_cell, served["times"][batch_cell],
+             served["ok"][batch_cell], None),
+        _row("serve", "single", served["times"]["single"],
+             served["ok"]["single"], served["single_ii"]),
+        _row("direct", batch_cell, direct_times, direct_ok, None),
+    ]
+    return _entry(cgra, label, repeats, jobs, rows, registry)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +506,7 @@ def compare_entries(
 
     Compared: per-cell median time (time class), per-cell II and
     success (exact — a lost mapping or a worse II always regresses),
+    the slice's ``wall_ms`` when both entries carry it (time class),
     and the per-repeat metric totals (count class, except ``*_ms``
     histogram sums).  Cells or metrics present on only one side are
     reported with the other side as 0.
@@ -479,6 +554,16 @@ def compare_entries(
                 f"{cell}.time_ms", "time",
                 b["time_ms"], n["time_ms"],
                 regressed=_exceeds(n["time_ms"], b["time_ms"], tol["time"]),
+            )
+        )
+
+    if "wall_ms" in base and "wall_ms" in new:
+        out.append(
+            Comparison(
+                "slice.wall_ms", "time", base["wall_ms"], new["wall_ms"],
+                regressed=_exceeds(
+                    new["wall_ms"], base["wall_ms"], tol["time"]
+                ),
             )
         )
 
@@ -532,6 +617,7 @@ def render_entries(entries: Sequence[dict[str, Any]]) -> str:
                 "cells": len(cells),
                 "ok": sum(1 for c in cells if c.get("ok")),
                 "total_ms": round(total, 1),
+                "wall_ms": entry.get("wall_ms", "-"),
             }
         )
     return ascii_table(rows, title="bench history")

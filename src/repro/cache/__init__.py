@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.arch.cgra import CGRA
 from repro.cache.fingerprint import (
@@ -68,6 +68,9 @@ from repro.obs.tracer import (
     CACHE_VALIDATION_FAILURES,
     get_tracer,
 )
+
+if TYPE_CHECKING:
+    from repro.core.mapper import Mapper
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -172,26 +175,26 @@ class MappingCache:
         self,
         dfg: DFG,
         cgra: CGRA,
-        *,
-        mapper: str,
-        seed: int = 0,
+        mapper: Mapper,
         ii: int | None = None,
-        token: str = "",
     ) -> str:
-        """The canonical cache key of one mapping call.
+        """The canonical cache key of ``mapper`` mapping ``dfg`` on
+        ``cgra``.
 
         Covers the problem (canonical DFG and architecture digests)
         and the solver identity (mapper name, seed, requested II, and
-        the mapper's configuration ``token``) — everything that can
-        change the produced mapping.
+        the mapper's :meth:`~repro.core.mapper.Mapper.cache_token`) —
+        everything that can change the produced mapping.
         """
         import hashlib
 
         base = (
             f"{dfg_fingerprint(dfg, self._colors(dfg))}"
             f"{arch_fingerprint(cgra)}"
-            f"-{mapper}-s{seed}-ii{'auto' if ii is None else ii}"
+            f"-{mapper.info.name}-s{mapper.seed}"
+            f"-ii{'auto' if ii is None else ii}"
         )
+        token = mapper.cache_token()
         if token:
             digest = hashlib.sha256(token.encode()).hexdigest()[:8]
             base += f"-t{digest}"

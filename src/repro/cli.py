@@ -495,6 +495,7 @@ def _cmd_bench(args) -> int:
     suffix = "" if args.slice == "default" else f"-{args.slice}"
     jobs = args.jobs if args.slice in ("parallel", "serve") else 1
     cells = {
+        "exact": history.EXACT_SLICE,
         "place": history.PLACE_SLICE,
         "route": history.ROUTE_SLICE,
     }.get(args.slice, history.DEFAULT_SLICE)
@@ -515,6 +516,10 @@ def _cmd_bench(args) -> int:
         if args.slice == "serve":
             return history.run_serve_slice(
                 arch, repeats=args.repeats, label=note, jobs=jobs
+            )
+        if args.slice == "cache":
+            return history.run_cache_slice(
+                presets.by_name(arch), repeats=args.repeats, label=note
             )
         return history.run_slice(
             presets.by_name(arch), cells=cells, repeats=args.repeats,
@@ -813,14 +818,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--slice",
-        choices=["default", "parallel", "place", "route", "serve"],
+        choices=[
+            "default", "parallel", "exact", "cache", "place", "route",
+            "serve",
+        ],
         default="default",
         help="'parallel' runs the slice over the pre-warmed worker"
              " pool and keeps its own per-arch ledger file, so pool"
              " regressions are tracked separately from mapper ones;"
-             " 'place' runs the large-fabric placement cells (pair"
-             " with --arch simple16x16); 'serve' benchmarks warm"
-             " batches through the in-process mapping daemon",
+             " 'exact' runs the SAT/CSP/ILP mapper cells; 'cache' runs"
+             " the default cells cold then warm under a fresh mapping"
+             " cache and fails if a warm cell misses; 'place' runs the"
+             " large-fabric placement cells (pair with --arch"
+             " simple16x16); 'serve' benchmarks warm batches through"
+             " the in-process mapping daemon",
     )
     p.add_argument(
         "--jobs", type=int, default=2, metavar="N",

@@ -133,10 +133,7 @@ class Mapper(abc.ABC):
                 "map", mapper=self.info.name, dfg=dfg.name, cgra=cgra.name
             ) as root:
                 if cache is not None:
-                    key = cache.key(
-                        dfg, cgra, mapper=self.info.name, seed=self.seed,
-                        ii=ii, token=self.cache_token(),
-                    )
+                    key = cache.key(dfg, cgra, self, ii)
                     with tracer.span("cache_lookup", key=key):
                         hit = cache.get(key, dfg, cgra)
                     if hit is not None:

@@ -117,13 +117,7 @@ class PortfolioMapper(Mapper):
         if cache is None or winner.mapper not in self.mappers:
             return
         entrant = create(winner.mapper, seed=self.seed)
-        cache.put(
-            cache.key(
-                dfg, cgra, mapper=winner.mapper, seed=self.seed,
-                ii=ii, token=entrant.cache_token(),
-            ),
-            winner,
-        )
+        cache.put(cache.key(dfg, cgra, entrant, ii), winner)
 
     # ------------------------------------------------------------------
     def _effective_jobs(self) -> int:

@@ -127,14 +127,8 @@ def route_spatial_partial(
     routes: dict[Edge, list[Step]] = {}
     failed: list[Edge] = []
 
-    edges = _routable_edges(dfg)
-    edges.sort(
-        key=lambda e: -cgra.distance(binding[e.src], binding[e.dst])
-    )
-    for e in edges:
+    for e in negotiation_nets(dfg, cgra, binding):
         src, dst = binding[e.src], binding[e.dst]
-        if src == dst or cgra.has_link(src, dst):
-            continue
 
         def usable(cell: int, value: int) -> bool:
             return cell not in op_cells and claims.exclusive(cell, value)

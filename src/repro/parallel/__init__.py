@@ -59,6 +59,7 @@ from typing import Any, Callable, Sequence
 from repro.parallel.pool import (
     WorkerCrash,
     WorkerPool,
+    _log,
     _prewarm_parent,
     get_pool,
     pool_scope,
@@ -183,7 +184,7 @@ def pmap(
                 try:
                     on_result(i, res)
                 except Exception:
-                    pass
+                    _log.exception("pool: on_result callback failed")
         return out
     pool = get_pool(min(jobs, len(items)))
     results = pool.run_batch(

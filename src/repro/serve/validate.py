@@ -7,15 +7,13 @@ mapper name plus constructor options), and under what constraints
 work is scheduled, and every defect is a :class:`RequestError` naming
 the offending field — one malformed request never kills its batch.
 
-Validation also computes each request's in-batch dedup key.  The base
-is the mapping cache's content address (canonical DFG + architecture
-digests, mapper identity, seed, II, config token) — the invariant
-that equal keys produce equal *mappings*.  That address is
-isomorphism-invariant, but serve responses must be byte-identical to
-what the client's exact node ids deserve, so the key gets an
-exact-label suffix (the kernel spec, or a digest of the canonical DFG
-document): only requests whose response documents would be
-byte-identical collapse onto one execution.
+Validation also computes each request's in-batch dedup key: the
+architecture preset name, the mapper identity (name, seed, II, config
+token) and an exact-label suffix (the kernel spec, or a digest of the
+canonical DFG document).  The suffix determines the DFG and the preset
+name determines the architecture, so only requests whose response
+documents would be byte-identical collapse onto one execution — no
+canonical cache address is needed to tell them apart.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.arch import presets
-from repro.cache import MappingCache
 from repro.core.registry import create, names
 from repro.core.serialize import dfg_from_doc, dfg_to_doc
 from repro.ir import kernels as kernel_lib
@@ -43,11 +40,6 @@ _FIELDS = frozenset(
     ("id", "kernel", "dfg", "arch", "mapper", "ii", "options",
      "deadline_ms")
 )
-
-#: key computation only — never stores; shares the WL-refinement memo
-#: across the requests of one batch.
-_KEYER = MappingCache()
-
 
 class RequestError(ValueError):
     """A malformed request, naming the offending field."""
@@ -138,7 +130,6 @@ def validate_request(
             f"unknown preset {arch!r};"
             f" available: {sorted(presets.PRESETS)}",
         )
-    cgra = presets.by_name(arch)
 
     mapper_name = doc.get("mapper", "list_sched")
     if not isinstance(mapper_name, str) or mapper_name not in names():
@@ -181,9 +172,10 @@ def validate_request(
         budget = float(deadline) / 1000.0
 
     canon = dfg_to_doc(dfg) if kernel is None else None
-    base = _KEYER.key(
-        dfg, cgra, mapper=mapper.info.name, seed=mapper.seed,
-        ii=ii, token=mapper.cache_token(),
+    token = hashlib.sha256(mapper.cache_token().encode()).hexdigest()[:16]
+    base = (
+        f"{arch}-{mapper.info.name}-s{mapper.seed}"
+        f"-ii{'auto' if ii is None else ii}-t{token}"
     )
     if kernel is not None:
         key = f"{base}+k:{kernel}"

@@ -10,15 +10,18 @@ from repro.arch import presets
 from repro.bench.history import (
     DEFAULT_SLICE,
     ENTRY_SCHEMA,
+    EXACT_SLICE,
     Comparison,
     append_entry,
     compare_entries,
     load_entries,
     render_comparison,
     render_entries,
+    run_cache_slice,
     run_slice,
     select_baseline,
 )
+from repro.cache import MappingCache
 from repro.cli import main
 
 
@@ -50,6 +53,7 @@ def test_run_slice_entry_shape(entry):
         assert cell["ok"]
         assert cell["ii"] >= 1
         assert cell["time_ms"] >= cell["time_ms_min"] >= 0
+    assert entry["wall_ms"] > 0
     # The slice ran under its own registry and recorded real work.
     metrics = entry["metrics"]
     assert metrics["matrix_cells_total"]["value"] == len(DEFAULT_SLICE)
@@ -182,9 +186,11 @@ def test_compare_flags_injected_time_regression(entry):
     slow = json.loads(json.dumps(entry))
     for cell in slow["cells"]:
         cell["time_ms"] = cell["time_ms"] * 100 + 1000.0
+    slow["wall_ms"] = entry["wall_ms"] * 100 + 1000.0
     comparisons = compare_entries(entry, slow)
     bad = {c.metric for c in comparisons if c.regressed}
     assert any(m.endswith(".time_ms") for m in bad)
+    assert "slice.wall_ms" in bad
 
 
 def test_compare_timing_noise_within_tolerance_passes(entry):
@@ -375,3 +381,62 @@ def test_cli_parallel_slice_keeps_its_own_ledger(tmp_path, capsys):
     assert entries[-1]["jobs"] == 2
     assert main(["bench", "compare", "last"] + common) == 0
     assert "0 regression(s)" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# The exact-solver and cache slices
+def test_exact_slice_entry_shape_and_self_compare(cgra):
+    entry = run_slice(cgra, cells=EXACT_SLICE, repeats=1, label="t")
+    assert [(c["mapper"], c["kernel"]) for c in entry["cells"]] == list(
+        EXACT_SLICE
+    )
+    for cell in entry["cells"]:
+        assert cell["ok"]
+        assert cell["ii"] >= 1
+    assert entry["metrics"]["maps_total"]["value"] == len(EXACT_SLICE)
+    comparisons = compare_entries(entry, entry)
+    assert comparisons and not any(c.regressed for c in comparisons)
+
+
+def test_cache_slice_entry_shape_and_self_compare(cgra):
+    entry = run_cache_slice(cgra, repeats=2, label="t")
+    assert entry["repeats"] == 2 and entry["jobs"] == 1
+    names = [f"{m}/{k}" for m, k in DEFAULT_SLICE]
+    assert [(c["mapper"], c["kernel"]) for c in entry["cells"]] == [
+        (phase, name) for phase in ("cold", "warm") for name in names
+    ]
+    cells = {(c["mapper"], c["kernel"]): c for c in entry["cells"]}
+    for name in names:
+        cold, warm = cells[("cold", name)], cells[("warm", name)]
+        assert cold["ok"] and warm["ok"]
+        assert cold["ii"] == warm["ii"] >= 1
+    # every cell ran twice per repeat, cold and warm
+    assert entry["metrics"]["maps_total"]["value"] == 4 * len(DEFAULT_SLICE)
+    comparisons = compare_entries(entry, entry)
+    assert comparisons and not any(c.regressed for c in comparisons)
+
+
+def test_cache_slice_raises_on_a_warm_miss(cgra, monkeypatch):
+    """A cache that stores nothing serves nothing: the warm pass
+    misses, and the slice fails instead of recording a slow row."""
+    monkeypatch.setattr(MappingCache, "put", lambda self, key, mapping: None)
+    with pytest.raises(RuntimeError, match="warm .* missed"):
+        run_cache_slice(cgra, repeats=1)
+
+
+@pytest.mark.parametrize("slice_name", ["exact", "cache"])
+def test_cli_new_slices_keep_their_own_ledger(slice_name, tmp_path, capsys):
+    """Recorded into their own ledger file; the compare runs end to end
+    (warn-only: a one-repeat re-run's solver timings are noise, the
+    clean self-compare is checked above on a fixed entry)."""
+    hist = tmp_path / "history"
+    common = [
+        "--arch", "simple4x4", "--history-dir", str(hist), "--repeats", "1",
+        "--slice", slice_name,
+    ]
+    assert main(["bench", "record"] + common) == 0
+    capsys.readouterr()
+    assert (hist / f"simple4x4-{slice_name}.jsonl").exists()
+    assert not (hist / "simple4x4.jsonl").exists()
+    assert main(["bench", "compare", "last", "--warn-only"] + common) == 0
+    assert "regression(s) across" in capsys.readouterr().out

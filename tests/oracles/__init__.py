@@ -28,8 +28,8 @@ the equivalence suites hold the two to byte-identical results.
   :class:`repro.mappers.sat_mapper.SATMapper`.
 
 ``tests/conftest.py`` puts ``tests/`` on ``sys.path``, so tests import
-this package as ``oracles``; the benchmark scripts insert the same
-directory themselves.
+this package as ``oracles``; ``benchmarks/bench_routing_ablation.py``
+inserts the same directory itself.
 """
 
 from oracles.adjplace import compatible, revise_ac1

@@ -4,9 +4,8 @@
 implementation of the :class:`repro.core.resources.Occupancy`
 contract.  The equivalence suite (``tests/core/test_equivalence.py``)
 drives both through identical operation sequences and whole mapper
-runs and asserts byte-identical outcomes; ``benchmarks/bench_hotpath.py``
-measures the flat-array speedup against it.  When the contract
-changes, change both (the suite fails loudly otherwise).
+runs and asserts byte-identical outcomes.  When the contract changes,
+change both (the suite fails loudly otherwise).
 
 :class:`ReferenceRouter` keeps the original search strategies — plain
 breadth-first :meth:`~ReferenceRouter.find` and plain-Dijkstra

@@ -387,6 +387,29 @@ def test_on_result_fires_for_deduped_copies():
     assert seen.index((1, True)) == seen.index((0, False)) + 1
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_on_result_errors_are_logged_not_raised(jobs, caplog):
+    """A failing callback is logged on both paths and never reaches
+    the batch: every item still settles and is returned."""
+    if jobs > 1:
+        warm_pool(jobs)
+
+    def boom(i, r):
+        raise RuntimeError(f"callback {i}")
+
+    with caplog.at_level("ERROR", logger="repro.parallel.pool"):
+        results = pmap(_double, [1, 2], jobs=jobs, on_result=boom)
+    assert [r.value for r in results] == [2, 4]
+    failures = [
+        rec for rec in caplog.records
+        if rec.getMessage() == "pool: on_result callback failed"
+    ]
+    assert len(failures) == 2
+    assert {str(rec.exc_info[1]) for rec in failures} == {
+        "callback 0", "callback 1",
+    }
+
+
 def test_workers_write_with_the_parents_disk_cap(cgra, tmp_path):
     # The batch header ships the disk tier's byte cap.  Workers that
     # rebuilt the tier with the 64 MiB default would keep all twelve

@@ -208,8 +208,11 @@ class CGRA:
             cached = tuple(
                 c.cid for c in self.cells if c.supports(op)
             )
-            self._support[op] = cached
+            # The set first: an interrupt between the two stores
+            # (a request deadline's SIGALRM) must not leave a cached
+            # tuple without its set on an array later requests share.
             self._support_set[op] = frozenset(cached)
+            self._support[op] = cached
         return cached
 
     def cell_supports(self, cid: int, op: Op) -> bool:

@@ -50,7 +50,6 @@ from repro.cache.fingerprint import (
     canonical_ids,
     dfg_fingerprint,
     problem_fingerprint,
-    refine_colors,
 )
 from repro.cache.store import (
     DEFAULT_DISK_BYTES,
@@ -162,13 +161,6 @@ class MappingCache:
             DiskStore(directory, disk_bytes) if directory else None,
         )
         self.stats = CacheStats()
-        # WL colors of the DFG most recently fingerprinted by key():
-        # the key -> get/put sequence of one Mapper.map call refines
-        # the same graph up to three times otherwise.  The memo holds
-        # the graph itself (not its id(), which the allocator reuses);
-        # a stale reuse after an in-place mutation is caught by the
-        # validate-on-load invariant like any other defect.
-        self._wl: tuple[DFG, dict[int, str]] | None = None
 
     # ------------------------------------------------------------------
     def key(
@@ -189,7 +181,7 @@ class MappingCache:
         import hashlib
 
         base = (
-            f"{dfg_fingerprint(dfg, self._colors(dfg))}"
+            f"{dfg_fingerprint(dfg)}"
             f"{arch_fingerprint(cgra)}"
             f"-{mapper.info.name}-s{mapper.seed}"
             f"-ii{'auto' if ii is None else ii}"
@@ -199,14 +191,6 @@ class MappingCache:
             digest = hashlib.sha256(token.encode()).hexdigest()[:8]
             base += f"-t{digest}"
         return base
-
-    def _colors(self, dfg: DFG) -> dict[int, str]:
-        memo = self._wl
-        if memo is not None and memo[0] is dfg:
-            return memo[1]
-        colors = refine_colors(dfg)
-        self._wl = (dfg, colors)
-        return colors
 
     # ------------------------------------------------------------------
     def get(self, key: str, dfg: DFG, cgra: CGRA) -> Mapping | None:
@@ -230,7 +214,7 @@ class MappingCache:
             # check needs no recomputation.
             if doc.get("fingerprint") != key.split("-", 1)[0]:
                 raise ValueError("fingerprint mismatch")
-            canon = canonical_ids(dfg, self._colors(dfg))
+            canon = canonical_ids(dfg)
             canon_to_live = {c: nid for nid, c in canon.items()}
             mapping = mapping_from_doc(
                 doc, dfg, cgra, node_map=canon_to_live, verify=False
@@ -257,12 +241,9 @@ class MappingCache:
         and such a result cannot be replayed onto the graph the key
         describes.
         """
-        colors = self._colors(mapping.dfg)
-        if dfg_fingerprint(mapping.dfg, colors) != key[:DIGEST_LEN]:
+        if dfg_fingerprint(mapping.dfg) != key[:DIGEST_LEN]:
             return
-        doc = mapping_to_doc(
-            mapping, node_map=canonical_ids(mapping.dfg, colors)
-        )
+        doc = mapping_to_doc(mapping, node_map=canonical_ids(mapping.dfg))
         self.store.put(key, doc)
         self.stats.stores += 1
 

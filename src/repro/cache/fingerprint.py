@@ -70,7 +70,23 @@ def refine_colors(dfg: DFG) -> dict[int, str]:
     neighbor color) into its color until the partition stops
     splitting.  Colors are canonical strings — stable across
     processes (no builtin ``hash``) and across node renumbering.
+
+    Memoized on the graph per ``dfg.revision`` (like
+    :func:`arch_fingerprint`'s ``_arch_fp``): one served request keys,
+    stores and serializes the same graph, and every structural or
+    label change bumps the revision.  The returned dict is shared;
+    do not mutate it.
     """
+    memo = getattr(dfg, "_wl", None)
+    if memo is not None and memo[0] == dfg.revision:
+        return memo[1]
+    colors = _wl_refine(dfg)
+    dfg._wl = (dfg.revision, colors)
+    return colors
+
+
+def _wl_refine(dfg: DFG) -> dict[int, str]:
+    """The refinement itself (uncached; see :func:`refine_colors`)."""
     colors = {nid: _node_seed(dfg.node(nid)) for nid in dfg}
     n = len(colors)
     distinct = len(set(colors.values()))
@@ -110,8 +126,7 @@ def canonical_ids(
     isomorphic DFGs get the same canonical indexing whenever the
     refinement is discriminating (the overwhelmingly common case for
     labeled DAGs); symmetric ties translate along an automorphism.
-    ``colors`` lets a caller that already refined this graph skip the
-    recomputation.
+    ``colors`` defaults to :func:`refine_colors`'s memoized ones.
     """
     if colors is None:
         colors = refine_colors(dfg)
@@ -119,19 +134,24 @@ def canonical_ids(
     return {nid: i for i, nid in enumerate(ordered)}
 
 
-def dfg_fingerprint(
-    dfg: DFG, colors: dict[int, str] | None = None
-) -> str:
-    """Isomorphism-invariant digest of the application graph."""
-    if colors is None:
-        colors = refine_colors(dfg)
+def dfg_fingerprint(dfg: DFG) -> str:
+    """Isomorphism-invariant digest of the application graph.
+
+    Memoized on the graph per ``dfg.revision``, beside its colors.
+    """
+    memo = getattr(dfg, "_dfg_fp", None)
+    if memo is not None and memo[0] == dfg.revision:
+        return memo[1]
+    colors = refine_colors(dfg)
     nodes = sorted(colors.values())
     edges = sorted(
         f"{colors[e.src]}>{colors[e.dst]}@{e.port}+{e.dist}"
         for e in dfg.edges()
     )
     body = f"n={len(nodes)};" + ",".join(nodes) + "|" + ",".join(edges)
-    return _sha(body)[:DIGEST_LEN]
+    fp = _sha(body)[:DIGEST_LEN]
+    dfg._dfg_fp = (dfg.revision, fp)
+    return fp
 
 
 def arch_fingerprint(cgra: CGRA) -> str:

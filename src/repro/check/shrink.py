@@ -118,7 +118,7 @@ def _shrink_const(dfg: DFG, nid: int, value: int) -> DFG | None:
     if node.op is not Op.CONST or node.value == value:
         return None
     g = dfg.copy()
-    g.node(nid).value = value
+    g.set_label(nid, value=value)
     try:
         g.check()
     except Exception:

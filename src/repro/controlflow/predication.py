@@ -114,9 +114,8 @@ def _if_convert(cdfg: CDFG, *, full: bool) -> DFG:
     if full:
         for polarity, res in ((True, then_res), (False, else_res)):
             for nid in res.new_ops:
-                node = out.node(nid)
-                node.pred = polarity
-                out.connect(cond, nid, port=node.op.arity)
+                out.set_label(nid, pred=polarity)
+                out.connect(cond, nid, port=out.node(nid).op.arity)
     else:
         # Partial predication: make STOREs unconditional-safe by
         # rewriting them to load-select-store.

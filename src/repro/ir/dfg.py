@@ -196,6 +196,10 @@ class Node:
         return f"{self.op.value}@{self.nid}"
 
 
+#: The node fields :meth:`DFG.set_label` may overwrite (all but ``nid``).
+_LABELS = frozenset({"op", "name", "value", "array", "pred"})
+
+
 @dataclass(frozen=True)
 class Edge:
     """A data dependence ``src -> dst`` feeding operand slot ``port``.
@@ -227,9 +231,10 @@ class DFG:
         self._out: dict[int, list[Edge]] = {}
         self._in: dict[int, list[Edge]] = {}
         self._next_id = 0
-        # Bumped by every add/connect/remove, so tables derived from
-        # the graph (see repro.mappers.construct.edge_tables) can tell
-        # when they are stale.
+        # Bumped by every add/connect/remove/set_label, so tables
+        # derived from the graph (repro.mappers.construct.edge_tables,
+        # the WL colors of repro.cache.fingerprint) can tell when they
+        # are stale.
         self.revision = 0
 
     # ------------------------------------------------------------------
@@ -295,6 +300,20 @@ class DFG:
         self.revision += 1
         self._out[edge.src].remove(edge)
         self._in[edge.dst].remove(edge)
+
+    def set_label(self, nid: int, /, **labels) -> None:
+        """Overwrite node labels (``op``, ``name``, ``value``,
+        ``array``, ``pred``) in place.
+
+        The one way to relabel a node of a live graph: it bumps
+        :attr:`revision` like any structural edit.
+        """
+        node = self._nodes[nid]
+        for field, value in labels.items():
+            if field not in _LABELS:
+                raise DFGError(f"unknown node label {field!r}")
+            setattr(node, field, value)
+        self.revision += 1
 
     def rewire(self, old_src: int, new_src: int) -> None:
         """Redirect every out-edge of ``old_src`` to come from ``new_src``."""

@@ -39,7 +39,7 @@ def unroll(dfg: DFG, factor: int) -> DFG:
             new = out.add(
                 node.op, name=name, value=node.value, array=node.array
             )
-            out.node(new).pred = node.pred
+            out.set_label(new, pred=node.pred)
             m[nid] = new
         clone.append(m)
     for e in dfg.edges():

@@ -21,6 +21,8 @@ from __future__ import annotations
 import logging
 from typing import Any, Callable, Sequence
 
+from repro.arch import presets
+from repro.arch.cgra import CGRA
 from repro.core.exceptions import MapFailure
 from repro.core.registry import create
 from repro.core.serialize import dfg_from_doc, mapping_to_doc
@@ -32,6 +34,11 @@ __all__ = ["map_batch", "open_batch", "response_of"]
 
 _log = logging.getLogger("repro.serve.scheduler")
 
+#: This worker's preset arrays by name, built on first use.  Mappers
+#: only read a CGRA (its own memo tables aside), so requests on one
+#: arch share one instance and its fingerprint and routing tables.
+_PRESETS: dict[str, CGRA] = {}
+
 
 def _map_task(item: tuple) -> tuple:
     """Pool payload: map one request (module-level for pickling).
@@ -41,9 +48,9 @@ def _map_task(item: tuple) -> tuple:
     through the :class:`PMapResult` envelope instead.
     """
     kind, spec, arch, mapper_name, ii, options = item
-    from repro.arch import presets
-
-    cgra = presets.by_name(arch)
+    cgra = _PRESETS.get(arch)
+    if cgra is None:
+        cgra = _PRESETS[arch] = presets.by_name(arch)
     dfg = (
         kernel_lib.kernel(spec) if kind == "kernel"
         else dfg_from_doc(spec)

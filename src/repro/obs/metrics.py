@@ -60,6 +60,7 @@ __all__ = [
     "NullRegistry",
     "POOL_DEDUP_TOTAL",
     "POOL_RESPAWNS_TOTAL",
+    "POOL_STEALS_TOTAL",
     "SAT_CONFLICTS",
     "SERVE_BATCHES_TOTAL",
     "SERVE_ERRORS_TOTAL",
@@ -83,6 +84,7 @@ MATRIX_CELLS_TOTAL = "matrix_cells_total"  #: run_matrix cells executed
 SAT_CONFLICTS = "sat_conflicts"            #: histogram of conflicts/solve
 POOL_RESPAWNS_TOTAL = "pool_respawns_total"  #: pool workers replaced after a crash/hard timeout
 POOL_DEDUP_TOTAL = "pool_dedup_total"      #: in-batch duplicate tasks collapsed onto a primary
+POOL_STEALS_TOTAL = "pool_steals_total"    #: prefetched pool tasks taken over by an idle worker (served by the daemon)
 SERVE_REQUESTS_TOTAL = "serve_requests_total"  #: requests accepted by the daemon
 SERVE_ERRORS_TOTAL = "serve_errors_total"  #: requests answered with a structured error
 SERVE_BATCHES_TOTAL = "serve_batches_total"  #: request batches executed over the pool
@@ -97,6 +99,7 @@ INSTRUMENTS = (
     SAT_CONFLICTS,
     POOL_RESPAWNS_TOTAL,
     POOL_DEDUP_TOTAL,
+    POOL_STEALS_TOTAL,
     SERVE_REQUESTS_TOTAL,
     SERVE_ERRORS_TOTAL,
     SERVE_BATCHES_TOTAL,

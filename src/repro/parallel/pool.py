@@ -27,10 +27,14 @@ process instead:
   the serve daemon's pool-owner thread keeps the loop running
   (:meth:`WorkerPool.drive`) and opens a group per batch.  Only one
   thread may drive the loop; a second one gets ``RuntimeError``.
-* **Chunked dispatch with backpressure** — the parent feeds each
-  worker over its own pipe, at most :data:`INFLIGHT_PER_WORKER` tasks
-  in flight per worker (one running, one prefetched), pulling the next
-  task from the queue as results drain.  Results are reassembled in
+* **Chunked dispatch with revocable prefetch** — the parent feeds
+  each worker over its own pipe, at most :data:`INFLIGHT_PER_WORKER`
+  tasks in flight per worker (one running, one prefetched), pulling
+  the next task from the queue as results drain.  A worker with
+  nothing to do first takes over the oldest task prefetched behind
+  another worker's running one, so a slow task no longer holds the
+  task queued behind it; a per-worker claim record (:class:`_Claim`)
+  makes sure the task runs exactly once.  Results are reassembled in
   submission order regardless of completion order.
 * **Per-group ambient context** — workers fork once, but metrics
   registries and cache scopes come and go in the parent; each group's
@@ -105,8 +109,9 @@ _log = logging.getLogger("repro.parallel.pool")
 
 #: Maximum tasks queued on one worker's pipe at a time — the
 #: backpressure window.  One running plus one prefetched keeps a fast
-#: worker from idling while the parent distributes, without letting a
-#: slow worker hoard the queue.
+#: worker from idling between a result and the parent's next send; a
+#: prefetched task stuck behind a slow one is taken over by the first
+#: worker to go idle, so the window costs no head-of-line wait.
 INFLIGHT_PER_WORKER = 2
 
 #: Parent poll tick (seconds) while waiting on worker pipes: bounds
@@ -162,7 +167,51 @@ def _install_cache(spec: tuple | None) -> None:
         set_cache(MappingCache())
 
 
-def _worker_main(conn) -> None:
+class _Claim:
+    """The claim record one worker shares with the parent: the last
+    task id the worker started, the task id the parent took back from
+    it (``-1``: none), and the lock both sides write them under.
+    Created before the fork, so the worker inherits it; a respawned
+    worker gets a fresh one."""
+
+    __slots__ = ("lock", "started", "revoked")
+
+    def __init__(self, ctx) -> None:
+        self.lock = ctx.Lock()
+        self.started = ctx.RawValue("q", -1)
+        self.revoked = ctx.RawValue("q", -1)
+
+    def start(self, task_id: int) -> bool:
+        """Worker side: record ``task_id`` as started, unless the
+        parent revoked it (then the worker skips it and sends
+        nothing)."""
+        with self.lock:
+            if self.revoked.value == task_id:
+                return False
+            self.started.value = task_id
+            return True
+
+    def revoke(self, running: int, task_id: int) -> bool:
+        """Parent side: take ``task_id`` back if the worker is running
+        ``running``, the task queued just ahead of it.
+
+        Never blocks: a busy lock (or a worker that died holding it)
+        just means no revocation this time.  Requiring the worker to
+        be *on* ``running`` means it has read past every earlier task,
+        including a previously revoked one, so one ``revoked`` slot is
+        enough."""
+        if not self.lock.acquire(block=False):
+            return False
+        try:
+            if self.started.value != running:
+                return False
+            self.revoked.value = task_id
+            return True
+        finally:
+            self.lock.release()
+
+
+def _worker_main(conn, claim: _Claim) -> None:
     """A pool worker's life: pre-import, then loop header/task messages.
 
     Message protocol (parent -> worker):
@@ -176,10 +225,11 @@ def _worker_main(conn) -> None:
     header), so one group can mix per-task deadlines — the serve
     daemon's per-request budgets.
 
-    Worker -> parent: ``(task_id, PMapResult)`` per task.  Any leaked
-    SIGALRM is disarmed before *and* after each task, so a timer armed
-    for task k can never fire mid-task k+1 of the same long-lived
-    worker.
+    Worker -> parent: ``(task_id, PMapResult)`` per task it ran; a
+    task the parent revoked through ``claim`` is skipped silently.
+    Any leaked SIGALRM is disarmed before *and* after each task, so a
+    timer armed for task k can never fire mid-task k+1 of the same
+    long-lived worker.
     """
     mark_worker()
     # The fork snapshot may carry the parent's pool handle and ambient
@@ -223,6 +273,8 @@ def _worker_main(conn) -> None:
             _install_cache(spec)
             continue
         _, task_id, index, item, timeout = msg
+        if not claim.start(task_id):
+            continue  # taken over by an idle worker
         disarm_alarm()
         args = (shared, item) if use_shared else (item,)
         res = run_task(
@@ -292,11 +344,12 @@ class _Group:
 
 
 class _Worker:
-    __slots__ = ("proc", "conn", "tasks", "header")
+    __slots__ = ("proc", "conn", "claim", "tasks", "header", "robbed")
 
-    def __init__(self, proc, conn) -> None:
+    def __init__(self, proc, conn, claim: _Claim) -> None:
         self.proc = proc
         self.conn = conn
+        self.claim = claim
         #: task_id -> (group, item index, hard deadline, task budget);
         #: insertion order is dispatch order, which the worker also
         #: completes in.  The deadline stays ``None`` while the task is
@@ -311,6 +364,9 @@ class _Worker:
         #: the last group header sent down this pipe in the current
         #: loop (None: the next task needs one first)
         self.header: tuple | None = None
+        #: lost its prefetched task to an idle worker: no new prefetch
+        #: until the running task reports
+        self.robbed = False
 
 
 def _same_header(sent: tuple | None, header: tuple) -> bool:
@@ -358,6 +414,8 @@ class WorkerPool:
         self.cancels = 0
         #: duplicate tasks collapsed onto an in-group primary
         self.dedup_hits = 0
+        #: prefetched tasks taken over by an idle worker
+        self.steals = 0
         self.ensure(jobs)
 
     # -- lifecycle -----------------------------------------------------
@@ -375,15 +433,16 @@ class WorkerPool:
 
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe()
+        claim = _Claim(self._ctx)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn,),
+            args=(child_conn, claim),
             name="repro-pool-worker",
             daemon=True,
         )
         proc.start()
         child_conn.close()
-        return _Worker(proc, parent_conn)
+        return _Worker(proc, parent_conn, claim)
 
     def ensure(self, jobs: int) -> None:
         """Grow to at least ``jobs`` workers (the pool never shrinks)
@@ -504,6 +563,7 @@ class WorkerPool:
         self._pending.clear()
         for w in self._workers:
             w.tasks.clear()
+            w.robbed = False
         for g in list(self._groups):
             for i, res in enumerate(g.results):
                 if res is None:
@@ -688,18 +748,22 @@ class WorkerPool:
             self._backstop()
 
     def _dispatch(self) -> None:
-        """Feed the FIFO queue to workers with a free slot.
+        """Feed idle workers the tasks stuck behind other workers, then
+        the FIFO queue to workers with a free slot.
 
         The head task goes to the least-loaded of its group's workers.
         On a tie it queues behind its own group's running task rather
         than another group's, which is likely that group's slow tail;
         within one group, ties go to the lowest worker index.
         """
+        for n, w in enumerate(self._workers):
+            if not w.tasks:
+                self._steal(n, w)
         while self._pending:
             g, i = self._pending[0]
             candidates = [
                 w for w in self._workers[: g.jobs]
-                if len(w.tasks) < INFLIGHT_PER_WORKER
+                if len(w.tasks) < (1 if w.robbed else INFLIGHT_PER_WORKER)
             ]
             if not candidates:
                 return
@@ -708,28 +772,48 @@ class WorkerPool:
                 bool(c.tasks) and next(iter(c.tasks.values()))[0] is not g,
             ))
             self._pending.popleft()
-            try:
-                if not _same_header(w.header, g.header):
-                    w.conn.send(g.header)
-                    w.header = g.header
-                w.conn.send(
-                    ("task", self._seq, i, g.items[i], g.budgets[i])
-                )
-            except (BrokenPipeError, OSError):
-                self._pending.appendleft((g, i))
-                self._fail_worker(w, None)
-                continue
-            except Exception as ex:
-                # Unpicklable fn/shared/item: fail the task the way a
-                # fork-per-call pool would, keep the worker.
-                self._finish(g, i, PMapResult(index=i, ok=False, error=ex))
-                continue
-            # Queued unarmed; _arm_head stamps the deadline once the
-            # task is actually running (immediately, if the worker was
-            # idle).
-            w.tasks[self._seq] = (g, i, None, g.budgets[i])
-            self._seq += 1
-            self._arm_head(w)
+            self._send(w, g, i)
+
+    def _steal(self, n: int, thief: _Worker) -> None:
+        """Give the idle worker ``thief`` (index ``n``) the oldest task
+        prefetched behind another worker's running task, among the
+        groups whose ``jobs`` reach it.  A prefetched task left the
+        FIFO ahead of everything still in it, so it goes first."""
+        waiting = sorted(
+            (task_id, w)
+            for w in self._workers if w is not thief
+            for task_id in list(w.tasks)[1:]
+            if n < w.tasks[task_id][0].jobs
+        )
+        for task_id, w in waiting:
+            if w.claim.revoke(next(iter(w.tasks)), task_id):
+                g, i, _dl, _b = w.tasks.pop(task_id)
+                w.robbed = True
+                self.steals += 1
+                self._send(thief, g, i)
+                return
+
+    def _send(self, w: _Worker, g: _Group, i: int) -> None:
+        """Queue item ``i`` of ``g`` on worker ``w``'s pipe."""
+        try:
+            if not _same_header(w.header, g.header):
+                w.conn.send(g.header)
+                w.header = g.header
+            w.conn.send(("task", self._seq, i, g.items[i], g.budgets[i]))
+        except (BrokenPipeError, OSError):
+            self._pending.appendleft((g, i))
+            self._fail_worker(w, None)
+            return
+        except Exception as ex:
+            # Unpicklable fn/shared/item: fail the task the way a
+            # fork-per-call pool would, keep the worker.
+            self._finish(g, i, PMapResult(index=i, ok=False, error=ex))
+            return
+        # Queued unarmed; _arm_head stamps the deadline once the task
+        # is actually running (immediately, if the worker was idle).
+        w.tasks[self._seq] = (g, i, None, g.budgets[i])
+        self._seq += 1
+        self._arm_head(w)
 
     def _arm_head(self, w: _Worker) -> None:
         """Stamp the hard deadline on the worker's head-of-line task if
@@ -754,6 +838,7 @@ class WorkerPool:
         entry = w.tasks.pop(task_id, None)
         if entry is None:
             return  # already accounted for (killed worker, old loop)
+        w.robbed = False
         self._arm_head(w)  # the next queued task is now running
         g, i = entry[0], entry[1]
         if g.results[i] is None:

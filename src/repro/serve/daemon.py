@@ -45,6 +45,7 @@ import time
 from typing import Any, Awaitable, Callable
 
 from repro.obs.metrics import (
+    POOL_STEALS_TOTAL,
     MetricsRegistry,
     SERVE_BATCHES_TOTAL,
     SERVE_ERRORS_TOTAL,
@@ -116,6 +117,8 @@ class MappingServer:
         self._wake_r: socket.socket | None = None
         self._wake_w: socket.socket | None = None
         self._stopping = False
+        #: the pool's steal count already published on /metrics
+        self._steals_seen = 0
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -211,6 +214,7 @@ class MappingServer:
     def _own_pool(self) -> None:
         """Drive the pool until told to stop with nothing left open."""
         pool = get_pool(self.jobs)
+        self._steals_seen = pool.steals
         try:
             pool.drive(
                 lambda: (
@@ -238,9 +242,20 @@ class MappingServer:
             except queue.Empty:
                 return
             open_batch(
-                pool, prepared, jobs=self.jobs,
-                on_settle=on_settle, on_done=on_done,
+                pool, prepared, jobs=self.jobs, on_settle=on_settle,
+                on_done=functools.partial(self._batch_done, pool, on_done),
             )
+
+    def _batch_done(self, pool: WorkerPool, on_done: Callable) -> None:
+        """Owner thread: publish the pool's new steals, then let the
+        batch's handler finish.  Steals go on the daemon's registry
+        only, not on an ambient one, because they are scheduling
+        events: a sweep's metric totals must not depend on ``jobs``."""
+        self.registry.counter(POOL_STEALS_TOTAL).inc(
+            pool.steals - self._steals_seen
+        )
+        self._steals_seen = pool.steals
+        on_done()
 
     def _wake(self) -> None:
         try:

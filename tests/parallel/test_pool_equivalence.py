@@ -162,3 +162,31 @@ def test_explore_duplicate_point_books_equal_cache_stats_across_jobs():
     assert points[1] == points[2]
     assert counts[1] == counts[2]
     assert counts[1][0] > 0  # the duplicate point hit
+
+
+def test_sweep_with_steals_does_the_work_of_jobs1(cgra, tmp_path):
+    # dresc/sad is the slow head (hundreds of ms): dresc/fir4 is
+    # prefetched behind it while the other worker clears every other
+    # cell, then takes dresc/fir4 over.  Equal work and cache totals
+    # show the stolen cell ran once, not on both workers.
+    mappers, kernels = ["dresc", "list_sched", "edge_centric"], [
+        "sad", "dot_product", "fir4"
+    ]
+    pool = warm_pool(2)
+    sigs, counts, rows = {}, {}, {}
+    for jobs in (1, 2):
+        steals = pool.steals
+        store = MappingCache(tmp_path / f"jobs{jobs}")
+        registry = MetricsRegistry()
+        with metrics_scope(registry):
+            rows[jobs] = [
+                _row_sig(r) for r in run_matrix(
+                    mappers, kernels, cgra, jobs=jobs, cache=store
+                )
+            ]
+        sigs[jobs] = _work_sig(registry)
+        counts[jobs] = _cache_counts(store)
+    assert pool.steals > steals
+    assert rows[1] == rows[2]
+    assert sigs[1] == sigs[2]
+    assert counts[1] == counts[2] == (0, 9, 9)

@@ -23,6 +23,7 @@ from repro.core.registry import create
 from repro.core.serialize import dfg_to_doc, mapping_to_doc
 from repro.ir import kernels
 from repro.obs.metrics import (
+    POOL_STEALS_TOTAL,
     SERVE_BATCHES_TOTAL,
     SERVE_ERRORS_TOTAL,
     SERVE_REQUEST_LATENCY_MS,
@@ -329,6 +330,22 @@ def test_http_face_serves_map_metrics_and_health():
     assert b"repro_serve_requests_total 1" in metrics
     assert health.partition(b"\r\n\r\n")[2] == b"ok\n"
     assert missing.startswith(b"HTTP/1.1 404")
+
+
+def test_metrics_count_requests_taken_over_from_a_slow_worker():
+    # dresc on sad is the slow head; the request prefetched behind it
+    # is taken over by the worker that cleared the other two
+    requests = [
+        {"id": "slow", "kernel": "sad", "arch": "simple4x4",
+         "mapper": "dresc"},
+        {"id": "a", "kernel": "dot_product", "arch": "simple4x4"},
+        {"id": "b", "kernel": "fir4", "arch": "simple4x4"},
+        {"id": "c", "kernel": "sobel_x", "arch": "simple4x4"},
+    ]
+    responses, summary, snap = roundtrip(requests, jobs=2)
+    assert [r["id"] for r in responses] == ["slow", "a", "b", "c"]
+    assert summary["ok"] == 4
+    assert snap[POOL_STEALS_TOTAL]["value"] >= 1
 
 
 def test_aclose_drains_and_double_close_is_noop():

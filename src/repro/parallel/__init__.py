@@ -60,9 +60,7 @@ from repro.parallel.pool import (
     WorkerCrash,
     WorkerPool,
     _log,
-    _prewarm_parent,
     get_pool,
-    pool_scope,
     prewarm,
     shutdown,
     warm_pool,
@@ -88,7 +86,6 @@ __all__ = [
     "in_process",
     "in_worker",
     "pmap",
-    "pool_scope",
     "race",
     "shutdown",
     "time_left",
@@ -174,7 +171,7 @@ def pmap(
         if len(timeouts) != len(items):
             raise ValueError("timeouts must align one-to-one with items")
     if in_process(jobs, len(items)):
-        _prewarm_parent()  # as the pool does before it forks
+        prewarm()  # as the pool does before it forks
         out: list[PMapResult] = []
         for i, item in enumerate(items):
             budget = timeouts[i] if timeouts is not None else timeout
@@ -222,7 +219,7 @@ def race(
     items = list(items)
     results: list[PMapResult | None] = [None] * len(items)
     if in_process(jobs, len(items)):
-        _prewarm_parent()
+        prewarm()
         for i, item in enumerate(items):
             results[i] = _run_here(fn, shared, item, i, timeout)
             if accept(results[i]):

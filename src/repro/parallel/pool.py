@@ -15,9 +15,9 @@ process instead:
 * **Module-level lifecycle** — :func:`get_pool` creates or grows the
   singleton, :func:`warm_pool` additionally round-trips a no-op task
   through every worker (benchmarks call it so timing starts warm),
-  :func:`pool_scope` pins a pool for a region, :func:`shutdown` tears
-  it down (also registered with :mod:`atexit`).  The pool survives
-  across ``run_matrix``/``explore``/portfolio calls in one process.
+  :func:`shutdown` tears it down (also registered with :mod:`atexit`).
+  The pool survives across ``run_matrix``/``explore``/portfolio calls
+  in one process.
 * **One dispatch/settle core for any number of task groups** — a
   group is one batch: its items and per-task budgets, its results in
   submission order, its dedup map and its callbacks.  Open groups
@@ -28,14 +28,14 @@ process instead:
   (:meth:`WorkerPool.drive`) and opens a group per batch.  Only one
   thread may drive the loop; a second one gets ``RuntimeError``.
 * **Chunked dispatch with revocable prefetch** — the parent feeds
-  each worker over its own pipe, at most :data:`INFLIGHT_PER_WORKER`
-  tasks in flight per worker (one running, one prefetched), pulling
-  the next task from the queue as results drain.  A worker with
-  nothing to do first takes over the oldest task prefetched behind
-  another worker's running one, so a slow task no longer holds the
-  task queued behind it; a per-worker claim record (:class:`_Claim`)
-  makes sure the task runs exactly once.  Results are reassembled in
-  submission order regardless of completion order.
+  each worker over its own pipe and tracks it in two slots, one
+  running task and one prefetched, pulling the next task from the
+  queue as results drain.  A worker with nothing to do first takes
+  over the oldest task prefetched behind another worker's running
+  one, so a slow task no longer holds the task queued behind it; a
+  per-worker claim record (:class:`_Claim`) makes sure the task runs
+  exactly once.  Results are reassembled in submission order
+  regardless of completion order.
 * **Per-group ambient context** — workers fork once, but metrics
   registries and cache scopes come and go in the parent; each group's
   header ships the current state (metrics on/off, cache tier spec) so
@@ -44,13 +44,13 @@ process instead:
   A worker gets the header once per loop, and again only when the
   next group's differs, so its memory tier lives as long as the loop.
 * **Crash detection + respawn** — a worker that dies mid-task fails
-  that task with :class:`WorkerCrash` (its queued-but-unstarted tasks
-  are re-dispatched), is replaced, and the batch continues; a worker
+  that task with :class:`WorkerCrash` (its prefetched task is
+  re-dispatched), is replaced, and the batch continues; a worker
   whose *running* task exceeds ``timeout + BACKSTOP_SLACK`` (stuck
   outside the interpreter, where SIGALRM cannot unwind it) is killed
   the same way with a hard
   :class:`~repro.parallel.tasks.TaskTimeout`.  The backstop clock
-  starts when a task reaches the head of its worker's queue, never
+  starts when a task moves into its worker's running slot, never
   while it is merely prefetched — queue wait behind a slow
   predecessor does not count against the budget.  The pool itself is
   never poisoned.
@@ -78,7 +78,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _conn_wait
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from repro.obs.metrics import (
     POOL_DEDUP_TOTAL,
@@ -95,24 +95,15 @@ from repro.parallel.tasks import (
 )
 
 __all__ = [
-    "INFLIGHT_PER_WORKER",
     "WorkerCrash",
     "WorkerPool",
     "get_pool",
-    "pool_scope",
     "prewarm",
     "shutdown",
     "warm_pool",
 ]
 
 _log = logging.getLogger("repro.parallel.pool")
-
-#: Maximum tasks queued on one worker's pipe at a time — the
-#: backpressure window.  One running plus one prefetched keeps a fast
-#: worker from idling between a result and the parent's next send; a
-#: prefetched task stuck behind a slow one is taken over by the first
-#: worker to go idle, so the window costs no head-of-line wait.
-INFLIGHT_PER_WORKER = 2
 
 #: Parent poll tick (seconds) while waiting on worker pipes: bounds
 #: the latency of deadline and liveness checks without busy-waiting.
@@ -198,7 +189,9 @@ class _Claim:
         Never blocks: a busy lock (or a worker that died holding it)
         just means no revocation this time.  Requiring the worker to
         be *on* ``running`` means it has read past every earlier task,
-        including a previously revoked one, so one ``revoked`` slot is
+        including a previously revoked one; and behind ``running`` sits
+        at most one prefetched task, which is not refilled once taken
+        until ``running`` reports.  So one ``revoked`` slot is
         enough."""
         if not self.lock.acquire(block=False):
             return False
@@ -216,8 +209,8 @@ def _worker_main(conn, claim: _Claim) -> None:
 
     Message protocol (parent -> worker):
       ``None``                                    — exit
-      ``("batch", fn, shared, use_shared,
-         metrics_on, cache_spec)``                — the header for the
+      ``("batch", fn, shared, metrics_on,
+         cache_spec)``                            — the header for the
                                                     tasks that follow
       ``("task", task_id, index, item, timeout)`` — run one task
 
@@ -248,7 +241,6 @@ def _worker_main(conn, claim: _Claim) -> None:
 
     fn: Callable[..., Any] | None = None
     shared: Any = None
-    use_shared = False
     metrics_on = False
     while True:
         try:
@@ -269,14 +261,14 @@ def _worker_main(conn, claim: _Claim) -> None:
         if msg is None:
             break
         if msg[0] == "batch":
-            _, fn, shared, use_shared, metrics_on, spec = msg
+            _, fn, shared, metrics_on, spec = msg
             _install_cache(spec)
             continue
         _, task_id, index, item, timeout = msg
         if not claim.start(task_id):
             continue  # taken over by an idle worker
         disarm_alarm()
-        args = (shared, item) if use_shared else (item,)
+        args = (shared, item) if shared is not None else (item,)
         res = run_task(
             fn, args, index, timeout,
             collect_metrics=metrics_on, collect_cache=True,
@@ -343,30 +335,57 @@ class _Group:
         self.results = [None] * len(self.items)
 
 
+class _Task(NamedTuple):
+    """A task on a worker's pipe: its id and its group's item."""
+
+    task_id: int
+    group: _Group
+    index: int
+
+
 class _Worker:
-    __slots__ = ("proc", "conn", "claim", "tasks", "header", "robbed")
+    """One worker process as the parent tracks it: two slots, the task
+    it is running and at most one prefetched behind it on its pipe.  A
+    prefetched task implies a running one, and the worker completes
+    them in that order."""
+
+    __slots__ = ("proc", "conn", "claim", "running", "prefetched",
+                 "deadline", "header", "robbed")
 
     def __init__(self, proc, conn, claim: _Claim) -> None:
         self.proc = proc
         self.conn = conn
         self.claim = claim
-        #: task_id -> (group, item index, hard deadline, task budget);
-        #: insertion order is dispatch order, which the worker also
-        #: completes in.  The deadline stays ``None`` while the task is
-        #: merely prefetched behind a predecessor — it is stamped only
-        #: when the task becomes the worker's head-of-line (i.e.
-        #: starts running), so queue wait never counts against the
-        #: backstop budget.  The budget is the task's own wall-clock
-        #: limit (groups may mix per-task budgets).
-        self.tasks: dict[
-            int, tuple[_Group, int, float | None, float | None]
-        ] = {}
+        self.running: _Task | None = None
+        self.prefetched: _Task | None = None
+        #: the running task's hard deadline (None: no budget); a
+        #: prefetched task has none, so queue wait never counts
+        #: against the backstop
+        self.deadline: float | None = None
         #: the last group header sent down this pipe in the current
         #: loop (None: the next task needs one first)
         self.header: tuple | None = None
         #: lost its prefetched task to an idle worker: no new prefetch
         #: until the running task reports
         self.robbed = False
+
+    def start(self, task: _Task | None) -> None:
+        """Move ``task`` into the running slot and arm its deadline.
+
+        The clock starts when a task starts running, not when it is
+        sent: a task prefetched behind a slow predecessor gets its
+        full ``timeout + BACKSTOP_SLACK`` of its own, or long tasks
+        would hard-fail under ``jobs >= 2`` while succeeding under
+        ``jobs=1``."""
+        self.running = task
+        budget = None if task is None else task.group.budgets[task.index]
+        self.deadline = (
+            None if budget is None
+            else time.monotonic() + budget + BACKSTOP_SLACK
+        )
+
+    def overdue(self, now: float) -> bool:
+        return self.deadline is not None and now > self.deadline
 
 
 def _same_header(sent: tuple | None, header: tuple) -> bool:
@@ -384,9 +403,9 @@ def _same_header(sent: tuple | None, header: tuple) -> bool:
 class WorkerPool:
     """A set of long-lived forked workers plus the dispatch/settle core.
 
-    Use the module-level :func:`get_pool`/:func:`pool_scope` rather
-    than instantiating directly — the whole point is that one pool
-    outlives many ``pmap``/``race`` calls.
+    Use the module-level :func:`get_pool` rather than instantiating
+    directly — the whole point is that one pool outlives many
+    ``pmap``/``race`` calls.
 
     The core holds any number of open task groups
     (:meth:`open_group`) on one FIFO queue, and one loop moves their
@@ -407,13 +426,10 @@ class WorkerPool:
         self._holder: int | None = None
         self._claim_lock = threading.Lock()
         self.batches = 0
-        self.tasks_run = 0
         #: workers replaced after a crash or hard timeout
         self.respawns = 0
         #: workers replaced to cancel race() losers promptly
         self.cancels = 0
-        #: duplicate tasks collapsed onto an in-group primary
-        self.dedup_hits = 0
         #: prefetched tasks taken over by an idle worker
         self.steals = 0
         self.ensure(jobs)
@@ -454,7 +470,7 @@ class WorkerPool:
                 "the worker pool is being driven by another thread"
             )
         for i, w in enumerate(self._workers):
-            if not w.tasks and not w.proc.is_alive():
+            if w.running is None and not w.proc.is_alive():
                 self._discard(w)
                 self._workers[i] = self._spawn()
                 self.respawns += 1
@@ -562,7 +578,8 @@ class WorkerPool:
         Results still in flight are ignored when they arrive."""
         self._pending.clear()
         for w in self._workers:
-            w.tasks.clear()
+            w.start(None)
+            w.prefetched = None
             w.robbed = False
         for g in list(self._groups):
             for i, res in enumerate(g.results):
@@ -672,14 +689,7 @@ class WorkerPool:
         else:
             budgets = [timeout] * n
         self.batches += 1
-        header = (
-            "batch",
-            fn,
-            shared,
-            shared is not None,
-            get_metrics().enabled,
-            _cache_spec(),
-        )
+        header = ("batch", fn, shared, get_metrics().enabled, _cache_spec())
         g = _Group(items, budgets, header, jobs, accept, on_result,
                    on_done)
 
@@ -722,7 +732,9 @@ class WorkerPool:
             if until():
                 return
             self._dispatch()
-            conns = {w.conn: w for w in self._workers if w.tasks}
+            conns = {
+                w.conn: w for w in self._workers if w.running is not None
+            }
             if not conns and self._pending:
                 continue  # replacement workers take the queue
             if not conns and wake is None:
@@ -751,25 +763,27 @@ class WorkerPool:
         """Feed idle workers the tasks stuck behind other workers, then
         the FIFO queue to workers with a free slot.
 
-        The head task goes to the least-loaded of its group's workers.
-        On a tie it queues behind its own group's running task rather
-        than another group's, which is likely that group's slow tail;
-        within one group, ties go to the lowest worker index.
+        A worker has a free slot while it runs nothing, or runs a task
+        with nothing prefetched and was not robbed.  The head task goes
+        to an idle worker of its group's if there is one.  Otherwise it
+        is prefetched behind its own group's running task rather than
+        another group's, which is likely that group's slow tail; ties
+        go to the lowest worker index.
         """
         for n, w in enumerate(self._workers):
-            if not w.tasks:
+            if w.running is None:
                 self._steal(n, w)
         while self._pending:
             g, i = self._pending[0]
             candidates = [
                 w for w in self._workers[: g.jobs]
-                if len(w.tasks) < (1 if w.robbed else INFLIGHT_PER_WORKER)
+                if w.running is None
+                or (w.prefetched is None and not w.robbed)
             ]
             if not candidates:
                 return
             w = min(candidates, key=lambda c: (
-                len(c.tasks),
-                bool(c.tasks) and next(iter(c.tasks.values()))[0] is not g,
+                0 if c.running is None else 1 if c.running.group is g else 2
             ))
             self._pending.popleft()
             self._send(w, g, i)
@@ -779,18 +793,18 @@ class WorkerPool:
         prefetched behind another worker's running task, among the
         groups whose ``jobs`` reach it.  A prefetched task left the
         FIFO ahead of everything still in it, so it goes first."""
-        waiting = sorted(
-            (task_id, w)
-            for w in self._workers if w is not thief
-            for task_id in list(w.tasks)[1:]
-            if n < w.tasks[task_id][0].jobs
+        victims = sorted(
+            (w for w in self._workers
+             if w.prefetched is not None and n < w.prefetched.group.jobs),
+            key=lambda w: w.prefetched.task_id,
         )
-        for task_id, w in waiting:
-            if w.claim.revoke(next(iter(w.tasks)), task_id):
-                g, i, _dl, _b = w.tasks.pop(task_id)
+        for w in victims:
+            t = w.prefetched
+            if w.claim.revoke(w.running.task_id, t.task_id):
+                w.prefetched = None
                 w.robbed = True
                 self.steals += 1
-                self._send(thief, g, i)
+                self._send(thief, t.group, t.index)
                 return
 
     def _send(self, w: _Worker, g: _Group, i: int) -> None:
@@ -809,41 +823,23 @@ class WorkerPool:
             # fork-per-call pool would, keep the worker.
             self._finish(g, i, PMapResult(index=i, ok=False, error=ex))
             return
-        # Queued unarmed; _arm_head stamps the deadline once the task
-        # is actually running (immediately, if the worker was idle).
-        w.tasks[self._seq] = (g, i, None, g.budgets[i])
+        task = _Task(self._seq, g, i)
         self._seq += 1
-        self._arm_head(w)
-
-    def _arm_head(self, w: _Worker) -> None:
-        """Stamp the hard deadline on the worker's head-of-line task if
-        it is still unarmed.
-
-        Deadlines start when a task *starts running*, not when it is
-        queued: a task prefetched behind a slow predecessor must get
-        its full ``timeout + BACKSTOP_SLACK`` budget of its own, or
-        long tasks would spuriously hard-fail under ``jobs >= 2``
-        while succeeding under ``jobs=1``."""
-        if not w.tasks:
-            return
-        head = next(iter(w.tasks))
-        g, i, dl, budget = w.tasks[head]
-        if dl is None and budget is not None:
-            w.tasks[head] = (
-                g, i, time.monotonic() + budget + BACKSTOP_SLACK, budget
-            )
+        if w.running is None:
+            w.start(task)
+        else:
+            w.prefetched = task
 
     def _record(self, w: _Worker, task_id: int, res: PMapResult) -> None:
-        """A worker reported a task's result."""
-        entry = w.tasks.pop(task_id, None)
-        if entry is None:
+        """A worker reported its running task's result: the prefetched
+        task, if any, is now running."""
+        t = w.running
+        if t is None or t.task_id != task_id:
             return  # already accounted for (killed worker, old loop)
+        w.start(w.prefetched)
+        w.prefetched = None
         w.robbed = False
-        self._arm_head(w)  # the next queued task is now running
-        g, i = entry[0], entry[1]
-        if g.results[i] is None:
-            self.tasks_run += 1
-            self._finish(g, i, res)
+        self._finish(t.group, t.index, res)
 
     def _finish(self, g: _Group, i: int, res: PMapResult) -> None:
         """Record a real (non-duplicate) task's final result, stream it
@@ -882,8 +878,6 @@ class WorkerPool:
         then stored, becomes a hit; a miss that stored nothing (a
         failed map) stays a miss."""
         src = g.results[p]
-        if src is None:
-            return
         cache = None
         if src.cache:
             stored = min(src.cache["misses"], src.cache["stores"])
@@ -892,8 +886,6 @@ class WorkerPool:
                 "misses": src.cache["misses"] - stored,
             }
         for i in g.dups_of.get(p, ()):
-            if g.results[i] is not None:
-                continue
             try:
                 value = copy.deepcopy(src.value)
             except Exception:
@@ -908,7 +900,6 @@ class WorkerPool:
                 deduped=True,
                 cache=cache,
             )
-            self.dedup_hits += 1
             get_metrics().counter(POOL_DEDUP_TOTAL).inc()
             self._emit(g, i, g.results[i])
 
@@ -928,23 +919,18 @@ class WorkerPool:
         groups' tasks on those workers go back to the queue front."""
         self._pending = deque(e for e in self._pending if e[0] is not g)
         for w in list(self._workers):
-            others = [(h, j) for h, j, _dl, _b in w.tasks.values()
-                      if h is not g]
-            if len(others) == len(w.tasks):
+            slots = [t for t in (w.running, w.prefetched) if t is not None]
+            if all(t.group is not g for t in slots):
                 continue
-            w.tasks.clear()
-            self._pending.extendleft(reversed(others))
+            self._pending.extendleft(
+                (t.group, t.index) for t in reversed(slots) if t.group is not g
+            )
             self.cancels += 1
             self._replace(w)
 
     def _close(self, g: _Group) -> None:
         """Settle a group: it leaves the core, then ``on_done`` fires."""
         self._groups.remove(g)
-        # Belt-and-braces: duplicates normally settle with their
-        # primary inside _finish; sweep any stragglers (_fill_dups
-        # skips already-settled entries, so nothing double-counts).
-        for p in g.dups_of:
-            self._fill_dups(g, p)
         # race contract: entries past the winner stay None, even those
         # that happened to finish before the decision.
         if g.winner is not None:
@@ -983,25 +969,21 @@ class WorkerPool:
         timed_out: bool = False,
     ) -> None:
         """A worker died or was condemned: salvage what it sent, fail
-        its earliest in-flight task (the one it was running — dispatch
-        order is completion order), re-queue the rest at the queue
+        its running task, re-queue its prefetched one at the queue
         front, and respawn."""
         derr = self._drain(w)
         if error is None:
             error = derr
-        remaining = list(w.tasks.values())
-        w.tasks.clear()
-        if remaining:
-            g, i, _dl, _b = remaining[0]
+        t, p = w.running, w.prefetched
+        if t is not None:
             err = error if error is not None else WorkerCrash(
-                f"pool worker died running task {i}"
+                f"pool worker died running task {t.index}"
             )
-            self._finish(g, i, PMapResult(
-                index=i, ok=False, error=err, timed_out=timed_out
+            self._finish(t.group, t.index, PMapResult(
+                index=t.index, ok=False, error=err, timed_out=timed_out
             ))
-            self._pending.extendleft(
-                (h, j) for h, j, _dl, _b in reversed(remaining[1:])
-            )
+        if p is not None:
+            self._pending.appendleft((p.group, p.index))
         self.respawns += 1
         get_metrics().counter(POOL_RESPAWNS_TOTAL).inc()
         _log.warning(
@@ -1010,34 +992,23 @@ class WorkerPool:
         )
         self._replace(w)
 
-    def _head_overdue(self, w: _Worker, now: float) -> float | None:
-        """If the worker's earliest in-flight task is past its hard
-        deadline, return that task's budget (for the diagnostic);
-        ``None`` otherwise.  Later entries are unarmed by
-        construction."""
-        if not w.tasks:
-            return None
-        _g, _i, dl, budget = next(iter(w.tasks.values()))
-        if dl is not None and now > dl:
-            return budget if budget is not None else 0.0
-        return None
-
     def _backstop(self) -> None:
         """Hard-timeout backstop: a worker whose *running* task is past
         its deadline is wedged beyond the in-process alarm, stuck
         outside the interpreter; kill just that worker, not the pool.
-        Only the head-of-line task is armed, so prefetched tasks
-        cannot trip the backstop from queue wait."""
+        Only the running task is armed, so prefetched tasks cannot
+        trip the backstop from queue wait."""
         now = time.monotonic()
         for w in list(self._workers):
-            if self._head_overdue(w, now) is None:
+            if not w.overdue(now):
                 continue
             derr = self._drain(w)  # the task may have finished this tick
             if derr is not None:
                 self._fail_worker(w, derr)
                 continue
-            budget = self._head_overdue(w, now)
-            if budget is not None:
+            if w.overdue(now):
+                t = w.running
+                budget = t.group.budgets[t.index]
                 self._fail_worker(
                     w,
                     TaskTimeout(
@@ -1078,14 +1049,6 @@ def _cache_spec() -> tuple | None:
 # Module-level lifecycle
 # ---------------------------------------------------------------------------
 _POOL: WorkerPool | None = None
-_PREWARMED = False
-
-
-def _prewarm_parent() -> None:
-    global _PREWARMED
-    if not _PREWARMED:
-        prewarm()
-        _PREWARMED = True
 
 
 def get_pool(jobs: int) -> WorkerPool:
@@ -1095,7 +1058,7 @@ def get_pool(jobs: int) -> WorkerPool:
     every worker starts from a warm snapshot.
     """
     global _POOL
-    _prewarm_parent()
+    prewarm()
     if _POOL is None:
         _POOL = WorkerPool(jobs)
     else:
@@ -1131,20 +1094,3 @@ def shutdown(grace: float | None = None) -> None:
 
 atexit.register(shutdown)
 
-
-@contextmanager
-def pool_scope(jobs: int | None = None) -> Iterator[WorkerPool]:
-    """Pin a pool for a region.
-
-    Tears the pool down on exit only if this scope created it — a
-    nested scope, or a scope entered after :func:`warm_pool`, leaves
-    the outer pool running.
-    """
-    n = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-    created = _POOL is None
-    pool = get_pool(n)
-    try:
-        yield pool
-    finally:
-        if created:
-            shutdown()

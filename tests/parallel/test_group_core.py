@@ -87,7 +87,9 @@ def drive_groups(pool, specs):
 def assert_core_empty(pool):
     assert pool.open_groups == 0
     assert not pool._groups and not pool._pending
-    assert all(not w.tasks for w in pool._workers)
+    assert all(
+        w.running is None and w.prefetched is None for w in pool._workers
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Reuse across calls, crash respawn, leaked-alarm hygiene between tasks
 of one long-lived worker, the ``TaskTimeout``-is-``BaseException``
 guarantee on *reused* workers (the PR 6 tests covered fork-per-call
 workers), the parent-side hard-timeout backstop, in-batch dedup, race
-loser cancellation, and the ``pool_scope`` lifecycle.
+loser cancellation, and shutdown.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.parallel import (
     WorkerCrash,
     get_pool,
     pmap,
-    pool_scope,
     race,
     shutdown,
     warm_pool,
@@ -295,23 +294,6 @@ def test_race_cancels_losers_promptly():
     assert pool.cancels > cancels  # losers were killed, not drained
     after = pmap(_double, [7], jobs=2)
     assert after[0].value == 14
-
-
-def test_pool_scope_creates_and_tears_down():
-    shutdown()
-    assert pool_mod._POOL is None
-    with pool_scope(2) as pool:
-        assert pool_mod._POOL is pool
-        assert [r.value for r in pmap(_double, [1, 2], jobs=2)] == [2, 4]
-    assert pool_mod._POOL is None
-
-
-def test_pool_scope_leaves_existing_pool_running():
-    outer = warm_pool(2)
-    with pool_scope(2) as pool:
-        assert pool is outer
-    assert pool_mod._POOL is outer
-    assert [r.value for r in pmap(_double, [3], jobs=2)] == [6]
 
 
 def test_shutdown_escalates_to_sigkill_on_wedged_worker():

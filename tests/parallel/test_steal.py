@@ -104,6 +104,28 @@ def test_every_task_runs_exactly_once_under_steals(tmp_path):
     assert_core_empty(pool)
 
 
+def test_a_worker_is_robbed_of_its_one_prefetched_task_at_most_once(
+    tmp_path,
+):
+    pool = warm_pool(2)
+    steals = pool.steals
+    log = tmp_path / "ran.log"
+    # "slow" holds worker 0 with t2 prefetched behind it while worker 1
+    # works through t1, t3, t4 and t5 one at a time; idle, worker 1
+    # steals t2.  Worker 0 has no second prefetched task to lose, and
+    # gets no new one before "slow" reports, so nothing is stolen twice.
+    items = [(str(log), "slow", 1.0, False)] + [
+        (str(log), f"t{k}", 0.0, False) for k in range(1, 6)
+    ]
+    results = pool.run_batch(_logged, items, jobs=2)
+    tags = [it[1] for it in items]
+    assert [r.value[0] for r in results] == tags
+    ran = log.read_text().splitlines()
+    assert sorted(ran) == sorted(tags)  # each tag exactly once
+    assert pool.steals == steals + 1
+    assert_core_empty(pool)
+
+
 def test_stolen_task_backstop_runs_from_its_start_on_the_thief(monkeypatch):
     monkeypatch.setattr(pool_mod, "BACKSTOP_SLACK", 0.2)
     pool = warm_pool(2)

@@ -573,7 +573,9 @@ def test_client_gone_mid_batch_leaves_the_pool_whole():
     # the owner settled the abandoned group and handed the pool back
     assert not owner.is_alive()
     assert pool._holder is None and pool.open_groups == 0
-    assert all(not w.tasks for w in pool._workers)
+    assert all(
+        w.running is None and w.prefetched is None for w in pool._workers
+    )
     for pid in pids:
         os.kill(pid, 0)  # every worker still alive, none replaced
     assert pool.pids() == pids

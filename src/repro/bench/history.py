@@ -30,7 +30,7 @@ from repro.arch.cgra import CGRA
 from repro.bench.harness import MatrixResult, _run_cell, ascii_table
 from repro.cache import mapping_cache
 from repro.obs.manifest import run_manifest
-from repro.obs.metrics import MetricsRegistry, metrics_scope
+from repro.obs.metrics import POOL_STEALS_TOTAL, MetricsRegistry, metrics_scope
 from repro.parallel import pmap, warm_pool
 
 __all__ = [
@@ -131,7 +131,15 @@ TOLERANCES = {
 }
 
 
+#: Counters of scheduling events — which worker ran a task, not how
+#: much work there was.  They vary from run to run with host load, so
+#: a compare reports them (class ``event``) but never flags them.
+SCHEDULING_EVENTS = frozenset({POOL_STEALS_TOTAL})
+
+
 def _metric_class(name: str) -> str:
+    if name in SCHEDULING_EVENTS:
+        return "event"
     return "time" if name.endswith("_ms") or name.endswith("_sum") else "count"
 
 
@@ -443,7 +451,7 @@ class Comparison:
     """One compared quantity; ``regressed`` drives the exit code."""
 
     metric: str
-    cls: str  #: tolerance class, "time" or "count"
+    cls: str  #: tolerance class, "time" or "count"; "event" never gates
     base: float
     new: float
     regressed: bool
@@ -508,7 +516,8 @@ def compare_entries(
     success (exact — a lost mapping or a worse II always regresses),
     the slice's ``wall_ms`` when both entries carry it (time class),
     and the per-repeat metric totals (count class, except ``*_ms``
-    histogram sums).  Cells or metrics present on only one side are
+    histogram sums, and the :data:`SCHEDULING_EVENTS`, which are
+    reported but never regress).  Cells or metrics present on only one side are
     reported with the other side as 0.
     """
     tol = dict(TOLERANCES)
@@ -576,7 +585,8 @@ def compare_entries(
         out.append(
             Comparison(
                 name, cls, bval, nval,
-                regressed=_exceeds(nval, bval, tol[cls]),
+                regressed=cls != "event"
+                and _exceeds(nval, bval, tol[cls]),
             )
         )
     return out

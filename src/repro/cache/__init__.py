@@ -80,6 +80,7 @@ __all__ = [
     "MemoryStore",
     "TieredStore",
     "arch_fingerprint",
+    "cache_dir_from_env",
     "cache_disabled",
     "cache_scope",
     "canonical_ids",
@@ -259,15 +260,21 @@ _UNSET = object()
 _ACTIVE: MappingCache | None | object = _UNSET
 
 
-def _cache_from_env() -> MappingCache | None:
+def cache_dir_from_env() -> str | None:
+    """The cache directory the environment names, or None: a
+    path-valued :data:`CACHE_ENV` (the path doubles as the on-switch),
+    else :data:`CACHE_DIR_ENV`.  The active cache and ``repro cache
+    stats|clear`` both read it here."""
     value = os.environ.get(CACHE_ENV, "").strip()
-    if value.lower() in _OFF_VALUES:
+    if value.lower() not in _OFF_VALUES | _ON_VALUES:
+        return value
+    return os.environ.get(CACHE_DIR_ENV) or None
+
+
+def _cache_from_env() -> MappingCache | None:
+    if os.environ.get(CACHE_ENV, "").strip().lower() in _OFF_VALUES:
         return None
-    if value.lower() in _ON_VALUES:
-        directory = os.environ.get(CACHE_DIR_ENV) or None
-    else:
-        directory = value  # a path doubles as the on-switch
-    return MappingCache(directory)
+    return MappingCache(cache_dir_from_env())
 
 
 def get_cache() -> MappingCache | None:

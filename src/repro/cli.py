@@ -308,18 +308,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    import os
-
     from repro.cache import CACHE_DIR_ENV, CACHE_ENV, DiskStore
+    from repro.cache import cache_dir_from_env
 
-    directory = args.dir or os.environ.get(CACHE_DIR_ENV)
-    if not directory:
-        # A path-valued REPRO_CACHE doubles as the directory.
-        value = os.environ.get(CACHE_ENV, "").strip()
-        if value and value.lower() not in (
-            "0", "off", "false", "no", "1", "on", "true", "yes"
-        ):
-            directory = value
+    directory = args.dir or cache_dir_from_env()
     if not directory:
         print(
             "no cache directory configured; pass --dir, or set"

@@ -92,16 +92,22 @@ def diamond_parts(cdfg: CDFG):
     if not cdfg.is_diamond():
         raise ValueError(f"CDFG {cdfg.name!r} is not an if-then-else diamond")
     entry = cdfg.block(cdfg.entry)
-    succ = dict(cdfg.successors(entry.bid))
     then_b = next(b for b, lab in cdfg.successors(entry.bid) if lab is True)
     else_b = next(b for b, lab in cdfg.successors(entry.bid) if lab is False)
     join_b = cdfg.successors(then_b)[0][0]
     return entry, cdfg.block(then_b), cdfg.block(else_b), cdfg.block(join_b)
 
 
-def _if_convert(cdfg: CDFG, *, full: bool) -> DFG:
+def _if_convert(
+    cdfg: CDFG, name: str, *, full: bool
+) -> tuple[DFG, list[int], list[int]]:
+    """If-convert a diamond into a DFG called ``name``.
+
+    Returns ``(dfg, then_ops, else_ops)``: the DFG and the ids of the
+    copied then-arm and else-arm ops, in copy order.
+    """
     entry, then_blk, else_blk, join_blk = diamond_parts(cdfg)
-    out = DFG(f"{cdfg.name}_{'full' if full else 'partial'}pred")
+    out = DFG(name)
     ext: dict[str, int] = {}
 
     entry_res = _copy_block(out, entry.body, {}, ext)
@@ -135,43 +141,28 @@ def _if_convert(cdfg: CDFG, *, full: bool) -> DFG:
                 out.remove_edge(out.operand(nid, 1))
                 out.connect(sel, nid, port=1)
 
-    # Merge arm definitions at the join.
+    # Merge arm definitions at the join; an arm that leaves a name
+    # alone passes the entry's value on.
     join_bound = dict(entry_res.defs)
-    all_names = set(then_res.defs) | set(else_res.defs)
-    for name in sorted(all_names):
-        t = then_res.defs.get(name)
-        f = else_res.defs.get(name)
-        if t is not None and f is not None:
-            join_bound[name] = (
-                t if t == f else out.add(
-                    Op.SELECT, cond, t, f, name=name
-                )
-            )
-        elif t is not None:
-            base = entry_res.defs.get(name)
-            join_bound[name] = (
-                out.add(Op.SELECT, cond, t, base, name=name)
-                if base is not None
-                else t
-            )
+    for name in sorted(set(then_res.defs) | set(else_res.defs)):
+        base = entry_res.defs.get(name)
+        t = then_res.defs.get(name, base)
+        f = else_res.defs.get(name, base)
+        if t is None or f is None or t == f:
+            join_bound[name] = f if t is None else t
         else:
-            base = entry_res.defs.get(name)
-            join_bound[name] = (
-                out.add(Op.SELECT, cond, base, f, name=name)
-                if base is not None
-                else f
-            )
+            join_bound[name] = out.add(Op.SELECT, cond, t, f, name=name)
 
     _copy_block(out, join_blk.body, join_bound, ext, keep_outputs=True)
     out.check()
-    return out
+    return out, then_res.new_ops, else_res.new_ops
 
 
 def partial_predication(cdfg: CDFG) -> DFG:
     """If-convert a diamond with SELECT merges (partial predication)."""
-    return _if_convert(cdfg, full=False)
+    return _if_convert(cdfg, f"{cdfg.name}_partialpred", full=False)[0]
 
 
 def full_predication(cdfg: CDFG) -> DFG:
     """If-convert a diamond with predicated arm ops (full predication)."""
-    return _if_convert(cdfg, full=True)
+    return _if_convert(cdfg, f"{cdfg.name}_fullpred", full=True)[0]

@@ -33,7 +33,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracer import II_ATTEMPTS, Tracer, get_tracer
 
-__all__ = ["Mapper", "MapperInfo", "ii_range"]
+__all__ = ["Mapper", "MapperInfo", "first_valid", "ii_range"]
 
 _log = logging.getLogger("repro.core.mapper")
 
@@ -208,37 +208,48 @@ class Mapper(abc.ABC):
         attempts: Iterable[Mapping | None],
         failure: str | Callable[[], str],
     ) -> Mapping:
-        """Return the first candidate of ``attempts`` that validates.
-
-        ``attempts`` yields one candidate mapping per attempt, or
-        ``None`` for an attempt that found nothing; an invalid
-        candidate counts as a failed attempt.  Every mapper's fresh
-        result leaves through this one check.  When the attempts run
-        out, raises :meth:`fail` with ``failure`` (called first when it
-        is callable, so the message can report what the search saw)
-        and the number of attempts.
-        """
-        n = 0
-        for mapping in attempts:
-            n += 1
-            if mapping is not None and not mapping.validate(
-                raise_on_error=False
-            ):
-                return mapping
-        message = failure() if callable(failure) else failure
-        raise self.fail(message, attempts=n)
+        """:func:`first_valid` under this mapper's name."""
+        return first_valid(self.info.name, attempts, failure)
 
     def fail(self, message: str, attempts: int = 0) -> MapFailure:
         """Build a MapFailure tagged with this mapper's name."""
-        _log.warning(
-            "%s: giving up after %d attempt(s): %s",
-            self.info.name, attempts, message,
-        )
-        return MapFailure(
-            f"{self.info.name}: {message}",
-            mapper=self.info.name,
-            attempts=attempts,
-        )
+        return _failure(self.info.name, message, attempts)
+
+
+def first_valid(
+    producer: str,
+    attempts: Iterable[Mapping | None],
+    failure: str | Callable[[], str],
+) -> Mapping:
+    """Return the first candidate of ``attempts`` that validates.
+
+    ``attempts`` yields one candidate mapping per attempt, or ``None``
+    for an attempt that found nothing; an invalid candidate counts as
+    a failed attempt.  Every fresh mapping — each registered mapper's,
+    ``multi_map``'s and ``map_dual_issue``'s — leaves through this one
+    check.  When the attempts run out, raises a ``MapFailure`` for
+    ``producer`` with ``failure`` (called first when it is callable,
+    so the message can report what the search saw) and the number of
+    attempts.
+    """
+    n = 0
+    for mapping in attempts:
+        n += 1
+        if mapping is not None and not mapping.validate(
+            raise_on_error=False
+        ):
+            return mapping
+    message = failure() if callable(failure) else failure
+    raise _failure(producer, message, attempts=n)
+
+
+def _failure(producer: str, message: str, attempts: int = 0) -> MapFailure:
+    _log.warning(
+        "%s: giving up after %d attempt(s): %s", producer, attempts, message
+    )
+    return MapFailure(
+        f"{producer}: {message}", mapper=producer, attempts=attempts
+    )
 
 
 def ii_range(dfg: DFG, cgra: CGRA, ii: int | None) -> Iterable[int]:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from repro.arch.cgra import CGRA
 from repro.core.exceptions import MapFailure
-from repro.core.mapper import ii_range
+from repro.core.mapper import first_valid, ii_range
 from repro.core.mapping import Mapping
 from repro.ir.dfg import DFG
 from repro.mappers.construct import PlacementState, greedy_construct
@@ -36,9 +36,10 @@ def multi_map(
 ) -> list[Mapping]:
     """Generate ``n_maps`` usage-diverse mappings of one kernel.
 
-    Every mapping is fully valid on its own; together they spread FU
-    activity across the array.  Raises :class:`MapFailure` when not
-    even one mapping exists.
+    Every mapping is fully valid on its own (each round returns through
+    :func:`repro.core.mapper.first_valid`); together they spread FU
+    activity across the array.  A round that finds nothing ends the
+    rotation; raises :class:`MapFailure` if the first one does.
     """
     rng = random.Random(seed)
     order = priority_order(dfg, by="height")
@@ -64,22 +65,18 @@ def multi_map(
                 for c in cells:
                     yield (c, t)
 
-        mapping = None
-        for ii_try in ii_range(dfg, cgra, ii):
-            mapping = greedy_construct(
-                dfg, cgra, ii_try, order, candidates=candidates
-            )
-            if mapping is not None and not mapping.validate(
-                raise_on_error=False
-            ):
-                break
-            mapping = None
-        if mapping is None:
+        attempts = (
+            greedy_construct(dfg, cgra, t, order, candidates=candidates)
+            for t in ii_range(dfg, cgra, ii)
+        )
+        failure = "no further mapping" if mappings else (
+            "not even one mapping exists"
+        )
+        try:
+            mapping = first_valid("multi_map", attempts, failure)
+        except MapFailure:
             if not mappings:
-                raise MapFailure(
-                    "multi_map: not even one mapping exists",
-                    mapper="multi_map",
-                )
+                raise
             break
         mapping.mapper = "multi_map"
         mappings.append(mapping)

@@ -10,6 +10,7 @@ into the parent so ``jobs=N`` totals equal the ``jobs=1`` numbers.
 
 from __future__ import annotations
 
+import math
 import signal
 import threading
 import time
@@ -98,7 +99,9 @@ class time_limit:
     usual way a mapper hangs).  A no-op when ``seconds`` is None/0 or
     when not on the main thread (signals cannot be delivered there);
     pool workers run tasks on their main thread, so the limit is
-    always live in parallel sweeps.
+    always live in parallel sweeps.  A non-finite ``seconds`` raises
+    ``ValueError``; one too large for the platform's timer raises the
+    timer's ``OverflowError``.  Either way nothing is left installed.
 
     Limits nest: an inner limit arms the earlier of its own deadline
     and the enclosing one, and its exit re-arms what is left of the
@@ -118,6 +121,8 @@ class time_limit:
         seconds = self.seconds
         if not seconds or seconds <= 0:
             return
+        if not math.isfinite(seconds):
+            raise ValueError(f"time limit must be finite, got {seconds!r}")
         if threading.current_thread() is not threading.main_thread():
             return
         limit = (time.monotonic() + seconds, seconds)
@@ -126,7 +131,11 @@ class time_limit:
         self._old = signal.signal(signal.SIGALRM, _raise_timeout)
         _LIMITS.append(limit)
         self._armed = True
-        _arm(limit[0])
+        try:
+            _arm(limit[0])
+        except OverflowError:  # too far off for the platform's timer
+            self.__exit__(None, None, None)
+            raise
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if self._armed:

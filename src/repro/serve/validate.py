@@ -29,6 +29,7 @@ from repro.core.serialize import dfg_from_doc, dfg_to_doc
 from repro.ir import kernels as kernel_lib
 
 __all__ = [
+    "MAX_DEADLINE_MS",
     "Prepared",
     "RequestError",
     "validate_batch",
@@ -40,6 +41,11 @@ _FIELDS = frozenset(
     ("id", "kernel", "dfg", "arch", "mapper", "ii", "options",
      "deadline_ms")
 )
+
+#: the largest ``deadline_ms`` a request may carry (one day); a larger
+#: budget is not a deadline, and a non-finite one cannot arm a timer
+MAX_DEADLINE_MS = 86_400_000
+
 
 class RequestError(ValueError):
     """A malformed request, naming the offending field."""
@@ -162,11 +168,12 @@ def validate_request(
     elif (
         isinstance(deadline, bool)
         or not isinstance(deadline, (int, float))
-        or deadline <= 0
+        or not 0 < deadline <= MAX_DEADLINE_MS
     ):
         raise RequestError(
             f"{where}.deadline_ms",
-            f"must be a positive number of milliseconds, got {deadline!r}",
+            "must be a positive number of milliseconds, at most"
+            f" {MAX_DEADLINE_MS}, got {deadline!r}",
         )
     else:
         budget = float(deadline) / 1000.0

@@ -182,6 +182,22 @@ def test_compare_flags_injected_count_regression(entry):
     assert "1 regression(s)" in report
 
 
+def test_compare_reports_steals_but_never_flags_them(entry):
+    """Steals are scheduling events: 0 -> 1 between runs of the same
+    code is host noise, while every other count keeps its 2% gate."""
+    base = json.loads(json.dumps(entry))
+    new = json.loads(json.dumps(entry))
+    base["metrics"]["pool_steals_total"] = {"type": "counter", "value": 0}
+    new["metrics"]["pool_steals_total"] = {"type": "counter", "value": 1}
+    base["metrics"]["matrix_cells_total"]["value"] = 1
+    comparisons = compare_entries(base, new)
+    (steals,) = [c for c in comparisons if c.metric == "pool_steals_total"]
+    assert (steals.cls, steals.base, steals.new) == ("event", 0.0, 1.0)
+    assert not steals.regressed
+    bad = [c.metric for c in comparisons if c.regressed]
+    assert bad == ["matrix_cells_total"]
+
+
 def test_compare_flags_injected_time_regression(entry):
     slow = json.loads(json.dumps(entry))
     for cell in slow["cells"]:

@@ -86,6 +86,25 @@ def test_cache_disabled_overrides_env(monkeypatch):
     assert get_cache() is not None
 
 
+def test_cli_cache_stats_reads_the_directory_the_program_writes(
+    monkeypatch, tmp_path, capsys
+):
+    """A path-valued REPRO_CACHE wins over REPRO_CACHE_DIR for ``repro
+    map`` and ``repro cache stats`` alike."""
+    from repro.cli import main
+
+    written, other = tmp_path / "a", tmp_path / "b"
+    monkeypatch.setenv(CACHE_ENV, str(written))
+    monkeypatch.setenv(CACHE_DIR_ENV, str(other))
+    reset_cache()
+    assert main(["map", "dot_product", "--arch", "simple4x4"]) == 0
+    capsys.readouterr()
+    assert main(["cache", "stats"]) == 0
+    out = capsys.readouterr().out
+    assert f"directory: {written}" in out
+    assert "entries:   1" in out
+
+
 # ---------------------------------------------------------------------------
 # Byte-identical equivalence
 # ---------------------------------------------------------------------------

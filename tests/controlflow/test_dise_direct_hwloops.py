@@ -13,6 +13,7 @@ from repro.controlflow.hwloops import (
 )
 from repro.controlflow.predication import partial_predication
 from repro.api import map_dfg
+from repro.core.exceptions import MapFailure
 from repro.ir import kernels
 
 from tests.controlflow.test_predication import make_ite_cdfg
@@ -68,6 +69,17 @@ def test_validator_rejects_unauthorised_sharing():
     m.coexec = set()  # drop the waiver
     v = m.validate(raise_on_error=False)
     assert any("FU conflict" in s for s in v)
+
+
+def test_dual_issue_failure_reports_producer_and_attempts():
+    """Every II's candidate goes through the shared attempt loop."""
+    dfg, pairs = dual_issue(make_ite_cdfg())
+    cgra = presets.simple_cgra(2, 2, n_contexts=1)
+    with pytest.raises(MapFailure) as info:
+        map_dual_issue(dfg, pairs, cgra)
+    assert info.value.mapper == "dual_issue"
+    assert info.value.attempts > 0
+    assert str(info.value).startswith("dual_issue: ")
 
 
 # ---------------------------------------------------------------------------

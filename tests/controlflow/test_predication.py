@@ -7,6 +7,8 @@ from repro.controlflow import (
     full_predication,
     partial_predication,
 )
+from repro.controlflow.dual_issue import dual_issue
+from repro.frontend import compile_to_cdfg
 from repro.ir.cdfg import CFG
 from repro.ir.dfg import DFG, Op
 from repro.ir.interp import DFGInterpreter, evaluate
@@ -55,7 +57,21 @@ def ref(a, b):
     return y * 2
 
 
-@pytest.mark.parametrize("transform", [partial_predication, full_predication])
+#: only the then arm redefines ``y``: an untaken then arm must leave
+#: the entry's ``y`` at the join
+ONE_SIDED = """
+kernel k { y = x + 1; if (c > 0) { y = y * 2; } else { z = x; } out y; }
+"""
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [
+        partial_predication,
+        full_predication,
+        pytest.param(lambda c: dual_issue(c)[0], id="dual_issue"),
+    ],
+)
 def test_ite_semantics_preserved(transform):
     cdfg = make_ite_cdfg()
     dfg = transform(cdfg)
@@ -64,6 +80,14 @@ def test_ite_semantics_preserved(transform):
     B = [3, 9, 7, 0]
     out = evaluate(dfg, 4, {"a": A, "b": B})
     assert out["out"] == [ref(x, y) for x, y in zip(A, B)]
+
+    dfg = transform(compile_to_cdfg(ONE_SIDED))
+    X = [5, 5, 3, -2]
+    C = [-1, 1, 0, 7]
+    out = evaluate(dfg, 4, {"x": X, "c": C})
+    assert out["y"] == [
+        (x + 1) * 2 if c > 0 else x + 1 for x, c in zip(X, C)
+    ]
 
 
 def test_partial_inserts_select():

@@ -55,6 +55,15 @@ def test_impossible_kernel_raises():
         multi_map(kernels.conv3x3(), cgra, n_maps=2)
 
 
+def test_failure_reports_producer_and_attempts():
+    """The first round's II attempts go through the shared loop."""
+    cgra = presets.simple_cgra(2, 2, n_contexts=2)
+    with pytest.raises(MapFailure) as info:
+        multi_map(kernels.fir4(), cgra, n_maps=2)
+    assert info.value.mapper == "multi_map"
+    assert info.value.attempts > 0
+
+
 def test_saturated_array_returns_partial_set():
     """On a tiny array the rotation may run out of fresh placements
     but must still return the mappings it found."""

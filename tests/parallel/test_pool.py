@@ -336,6 +336,16 @@ def test_per_task_timeouts_mix_in_one_batch():
     assert results[1].ok and results[1].value == "roomy"
 
 
+def test_non_finite_budget_leaves_the_worker_usable():
+    shutdown()
+    pool = get_pool(1)
+    first = pool.run_batch(_double, [1], jobs=1, timeouts=[float("inf")])
+    assert not first[0].ok and isinstance(first[0].error, ValueError)
+    # the same worker, budgeted: no limit of the rejected task lingers
+    results = pool.run_batch(_double, [2, 3], jobs=1, timeout=5.0)
+    assert [(r.ok, r.value) for r in results] == [(True, 4), (True, 6)]
+
+
 def test_on_result_streams_settled_tasks_without_barrier():
     warm_pool(2)
     seen: list[tuple[int, float]] = []

@@ -49,3 +49,25 @@ def test_time_left_reads_the_innermost_deadline():
         with time_limit(0.5):
             assert 0.0 < time_left() <= 0.5
     assert time_left() is None
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+def test_non_finite_limit_is_rejected_before_anything_is_armed(seconds):
+    handler = signal.getsignal(signal.SIGALRM)
+    with pytest.raises(ValueError, match="finite"):
+        with time_limit(seconds):
+            pass
+    assert time_left() is None
+    assert signal.getsignal(signal.SIGALRM) is handler
+
+
+def test_limit_the_timer_cannot_arm_leaves_nothing_installed():
+    handler = signal.getsignal(signal.SIGALRM)
+    with pytest.raises(OverflowError):
+        with time_limit(1e12):  # beyond the platform's time_t
+            pass
+    assert time_left() is None
+    assert signal.getsignal(signal.SIGALRM) is handler
+    with time_limit(5.0):  # a later limit arms normally
+        assert 4.0 < time_left() <= 5.0
+    assert time_left() is None

@@ -30,7 +30,11 @@ from repro.obs.metrics import (
     SERVE_REQUESTS_TOTAL,
 )
 from repro.serve import MappingServer, submit
-from repro.serve.validate import RequestError, validate_request
+from repro.serve.validate import (
+    MAX_DEADLINE_MS,
+    RequestError,
+    validate_request,
+)
 
 
 def roundtrip(requests, **server_kw):
@@ -698,6 +702,14 @@ def test_concurrent_batch_flood_is_answered_in_full():
          "requests[0].id"),
         ({"dfg": {"nodes": "x"}, "arch": "simple4x4"},
          "requests[0].dfg"),
+        # json.loads reads NaN, Infinity and 1e400 (as inf): none can
+        # arm a worker's timer
+        ({"kernel": "dot_product", "arch": "simple4x4",
+          "deadline_ms": float("nan")}, "requests[0].deadline_ms"),
+        ({"kernel": "dot_product", "arch": "simple4x4",
+          "deadline_ms": float("inf")}, "requests[0].deadline_ms"),
+        ({"kernel": "dot_product", "arch": "simple4x4",
+          "deadline_ms": MAX_DEADLINE_MS + 1}, "requests[0].deadline_ms"),
     ],
 )
 def test_validate_request_names_the_offending_field(doc, field):

@@ -53,7 +53,6 @@ from repro.cache.fingerprint import (
 )
 from repro.cache.store import (
     DEFAULT_DISK_BYTES,
-    DEFAULT_MEMORY_ENTRIES,
     DiskStore,
     MemoryStore,
     TieredStore,
@@ -154,11 +153,10 @@ class MappingCache:
         self,
         directory: str | os.PathLike | None = None,
         *,
-        memory_entries: int = DEFAULT_MEMORY_ENTRIES,
         disk_bytes: int = DEFAULT_DISK_BYTES,
     ) -> None:
         self.store = TieredStore(
-            MemoryStore(memory_entries),
+            MemoryStore(),
             DiskStore(directory, disk_bytes) if directory else None,
         )
         self.stats = CacheStats()
@@ -303,7 +301,6 @@ def reset_cache() -> None:
 def mapping_cache(
     directory: str | os.PathLike | None = None,
     *,
-    memory_entries: int = DEFAULT_MEMORY_ENTRIES,
     disk_bytes: int = DEFAULT_DISK_BYTES,
     cache: MappingCache | None = None,
 ) -> Iterator[MappingCache]:
@@ -316,7 +313,7 @@ def mapping_cache(
             mapper.map(dfg, cgra)     # hit
     """
     active = cache if cache is not None else MappingCache(
-        directory, memory_entries=memory_entries, disk_bytes=disk_bytes
+        directory, disk_bytes=disk_bytes
     )
     previous = set_cache(active)
     try:

@@ -647,13 +647,24 @@ def _cmd_submit(args) -> int:
     return 1 if failed else 0
 
 
+def _timeout(text: str) -> float:
+    """The ``--timeout`` flags' type: seconds, within the bounds a
+    request's ``deadline_ms`` has."""
+    from repro.serve.validate import check_timeout
+
+    try:
+        return check_timeout(float(text))
+    except ValueError as ex:
+        raise argparse.ArgumentTypeError(str(ex)) from None
+
+
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for the sweep (1 = serial, the default)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_timeout, default=None, metavar="SECONDS",
         help="per-cell wall-clock budget; overruns become failure rows",
     )
 
@@ -865,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pool workers mapping requests (default 2)",
     )
     p.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_timeout, default=None, metavar="SECONDS",
         help="default per-request deadline when a request carries no"
              " deadline_ms (default: none)",
     )

@@ -68,11 +68,9 @@ def real_edges(dfg: DFG) -> list[Edge]:
     ]
 
 
-def slot_domains(
-    dfg: DFG, cgra: CGRA, ii: int, *, window: int | None = None
-) -> dict[int, list[Slot]]:
-    """Per-op candidate slots: supporting cells x an ASAP-anchored window."""
-    win = window if window is not None else ii + 2
+def slot_domains(dfg: DFG, cgra: CGRA, ii: int) -> dict[int, list[Slot]]:
+    """Per-op candidate slots: supporting cells x the cycles from the
+    op's ASAP time to ``ii + 2`` past it."""
     t0 = asap(dfg, ii)
     domains: dict[int, list[Slot]] = {}
     for node in dfg.nodes():
@@ -81,7 +79,7 @@ def slot_domains(
         cells = cgra.supporting_cells(node.op)
         lo = t0[node.nid]
         domains[node.nid] = [
-            (c, t) for t in range(lo, lo + win + 1) for c in cells
+            (c, t) for t in range(lo, lo + ii + 3) for c in cells
         ]
     return domains
 
@@ -243,12 +241,13 @@ def dfs(
 
 
 def insertion_tries(
-    dfg: DFG, cgra: CGRA, rounds: int,
+    dfg: DFG, cgra: CGRA,
     solve: Callable[[int, DFG, int], dict[int, Slot] | None],
+    *, rounds: int = 1,
 ) -> Callable[[int], Iterator[Mapping | None]]:
     """``Mapper.search`` attempts: per II, ``solve(r, work, ii)`` for
-    ``r`` = 0, 1, ... ``rounds``, where ``work`` is ``dfg`` after ``r``
-    ROUTE-insertion rounds.  Each round's graph is built once per call
+    ``r`` = 0, 1, ... ``rounds`` (one by default), where ``work`` is
+    ``dfg`` after ``r`` ROUTE-insertion rounds.  Each round's graph is built once per call
     of this function, so a mapper may keep state per round across the
     II escalation (sat's incremental model, smt's skeleton, csp's
     value hint)."""

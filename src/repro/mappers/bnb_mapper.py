@@ -44,13 +44,11 @@ class BranchAndBoundMapper(Mapper):
     )
 
     node_limit: int = 200_000
-    max_route_rounds: int = 1
-    window: int | None = None
 
     def _solve(
         self, dfg: DFG, cgra: CGRA, ii: int
     ) -> dict[int, adjplace.Slot] | None:
-        domains = adjplace.slot_domains(dfg, cgra, ii, window=self.window)
+        domains = adjplace.slot_domains(dfg, cgra, ii)
         with get_tracer().span(
             "bnb_search", ii=ii,
             slots=sum(len(d) for d in domains.values()),
@@ -67,7 +65,7 @@ class BranchAndBoundMapper(Mapper):
         return self.search(
             dfg, cgra, ii,
             adjplace.insertion_tries(
-                dfg, cgra, self.max_route_rounds,
+                dfg, cgra,
                 lambda r, work, ii_try: self._solve(work, cgra, ii_try),
             ),
             f"search space exhausted on {cgra.name}",

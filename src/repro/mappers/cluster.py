@@ -32,6 +32,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.arch.cgra import CGRA
 from repro.arch.tec import Step
@@ -54,6 +55,16 @@ from repro.obs.tracer import (
 )
 
 __all__ = ["ClusteredSpatialMapper"]
+
+#: candidate cells scored per refinement move
+BATCH = 8
+#: refinement schedule: geometric cooling from T_START down to T_END
+T_START = 2.0
+T_END = 0.05
+COOLING = 0.9
+RESTARTS = 3
+#: weight-escalation rounds per restart before routing gives up
+REPAIR_ROUNDS = 4
 
 _log = logging.getLogger("repro.mappers.cluster")
 
@@ -182,14 +193,9 @@ class ClusteredSpatialMapper(Mapper):
         year=2021,
     )
 
-    region: int = 4
-    batch: int = 8
-    t_start: float = 2.0
-    t_end: float = 0.05
-    cooling: float = 0.9
-    moves_per_temp: int | None = None
-    restarts: int = 3
-    repair_rounds: int = 4
+    #: ops per cluster: one ``region x region`` fabric block (a constant
+    #: of the method, not an option)
+    region: ClassVar[int] = 4
 
     # -- phase 2: global seed ------------------------------------------
     def seed_binding(
@@ -305,10 +311,9 @@ class ClusteredSpatialMapper(Mapper):
         support = [set(o) for o in options]
         near = near_cells(cgra)
         owner = {cells[i]: i for i in range(n)}
-        moves = self.moves_per_temp or max(40, 2 * n)
-        batch = self.batch
-        temp = self.t_start if t_start is None else t_start
-        while temp > self.t_end:
+        moves = max(40, 2 * n)
+        temp = T_START if t_start is None else t_start
+        while temp > T_END:
             for _ in range(moves):
                 tracer.count(CANDIDATES_EXPLORED)
                 # Repair rounds concentrate half the proposals on the
@@ -335,8 +340,8 @@ class ClusteredSpatialMapper(Mapper):
                         opts = pool
                 cands = (
                     opts
-                    if len(opts) <= batch
-                    else rng.sample(opts, batch)
+                    if len(opts) <= BATCH
+                    else rng.sample(opts, BATCH)
                 )
                 deltas = ev.move_deltas(cells, i, cands)
                 # First-min argmin: ties go to the earliest candidate.
@@ -381,7 +386,7 @@ class ClusteredSpatialMapper(Mapper):
                 else:
                     cells[j] = old
                     owner[old] = j
-            temp *= self.cooling
+            temp *= COOLING
 
     def _directed_repair(
         self, ev: DeltaCost, cells: list[int], failed: list[Edge]
@@ -463,7 +468,7 @@ class ClusteredSpatialMapper(Mapper):
         if not failed:
             return binding, routes
         best_cells, best_failed = list(cells), failed
-        for round_ in range(self.repair_rounds):
+        for round_ in range(REPAIR_ROUNDS):
             _log.info(
                 "cluster: %d edge(s) unroutable, repair round %d",
                 len(best_failed), round_ + 1,
@@ -483,7 +488,7 @@ class ClusteredSpatialMapper(Mapper):
             if not self._directed_repair(ev, cells, best_failed):
                 self.refine(
                     ev, cells, rng,
-                    t_start=max(3 * self.t_end, 0.15),
+                    t_start=max(3 * T_END, 0.15),
                     focus=sorted(hot),
                     channels=channels,
                 )
@@ -506,8 +511,7 @@ class ClusteredSpatialMapper(Mapper):
             )
         rng = random.Random(self.seed)
         with tracer.span("partition"):
-            capacity = max(1, self.region * self.region)
-            clusters = partition(dfg, capacity)
+            clusters = partition(dfg, self.region * self.region)
         n_channels = len(channel_columns(cgra, n_ops))
         # seed_binding is deterministic, so a bare retry would replay
         # the exact corridor set that just failed.  Each restart
@@ -517,9 +521,9 @@ class ClusteredSpatialMapper(Mapper):
         return self.first_valid(
             (
                 self._restart(dfg, cgra, clusters, rng, r, n_channels - r)
-                for r in range(self.restarts)
+                for r in range(RESTARTS)
             ),
-            f"routing failed after {self.restarts} two-phase restarts",
+            f"routing failed after {RESTARTS} two-phase restarts",
         )
 
     def _restart(

@@ -43,7 +43,6 @@ class CSPMapper(Mapper):
     )
 
     node_limit: int = 150_000
-    max_route_rounds: int = 1
 
     def _solve(
         self,
@@ -102,8 +101,6 @@ class CSPMapper(Mapper):
 
         return self.search(
             dfg, cgra, ii,
-            adjplace.insertion_tries(
-                dfg, cgra, self.max_route_rounds, solve
-            ),
+            adjplace.insertion_tries(dfg, cgra, solve),
             f"CSP proved the windowed model infeasible on {cgra.name}",
         )

@@ -27,6 +27,11 @@ from repro.obs.tracer import BACKTRACKS, CANDIDATES_EXPLORED, get_tracer
 __all__ = ["DRESCMapper"]
 
 UNROUTED_PENALTY = 50.0
+#: annealing schedule: the temperature falls geometrically by
+#: ``COOLING`` from ``T_START`` until it drops to ``T_END``
+T_START = 20.0
+T_END = 0.2
+COOLING = 0.9
 
 
 @register
@@ -44,11 +49,7 @@ class DRESCMapper(Mapper):
         year=2002,
     )
 
-    t_start: float = 20.0
-    t_end: float = 0.2
-    cooling: float = 0.9
     moves_per_temp: int = 80
-    window: int | None = None
 
     # ------------------------------------------------------------------
     def _cost(self, state: PlacementState) -> float:
@@ -122,18 +123,18 @@ class DRESCMapper(Mapper):
         state = self._initial(dfg, cgra, ii, rng)
         if state is None:
             return None
-        window = self.window if self.window is not None else 2 * ii + 2
+        window = 2 * ii + 2
         nodes = list(state.binding)
         cost = self._cost(state)
         best = cost
         tracer.progress("dresc.best_cost", best)
-        temp = self.t_start
+        temp = T_START
         # Rejected moves roll back through the delta-undo journal —
         # rerouted edges may claim the vacated slot, so "move back" is
         # not always possible, but replaying the inverse log is exact
         # and costs a few operations instead of a full state copy.
         state.begin_undo()
-        while temp > self.t_end:
+        while temp > T_END:
             for _ in range(self.moves_per_temp):
                 if cost == 0 or not state.pending:
                     mapping = state.to_mapping()
@@ -161,7 +162,7 @@ class DRESCMapper(Mapper):
                 else:
                     tracer.count(BACKTRACKS)
                     state.undo_to(start)
-            temp *= self.cooling
+            temp *= COOLING
         if state.pending:
             return None
         return state.to_mapping()

@@ -22,6 +22,9 @@ from repro.mappers.schedule import priority_order
 
 __all__ = ["EdgeCentricMapper"]
 
+#: slots probed per op before the cheapest one found so far is kept
+PROBE_LIMIT = 24
+
 
 @register
 @dataclass(eq=False, kw_only=True)
@@ -37,8 +40,6 @@ class EdgeCentricMapper(Mapper):
         modeled_after="[37]",
         year=2008,
     )
-
-    probe_limit: int = 24
 
     def _attempt(self, dfg: DFG, cgra: CGRA, ii: int) -> Mapping | None:
         state = PlacementState(dfg, cgra, ii)
@@ -61,7 +62,7 @@ class EdgeCentricMapper(Mapper):
             probes = 0
             for t in range(lb, ub + 1):
                 for cell in cells:
-                    if probes >= self.probe_limit and best is not None:
+                    if probes >= PROBE_LIMIT and best is not None:
                         break
                     if not state.place(nid, cell, t):
                         continue
@@ -73,7 +74,7 @@ class EdgeCentricMapper(Mapper):
                     if cost == 0:
                         break
                 if best is not None and (
-                    best[0] == 0 or probes >= self.probe_limit
+                    best[0] == 0 or probes >= PROBE_LIMIT
                 ):
                     break
             if best is None:

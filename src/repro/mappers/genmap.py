@@ -27,6 +27,14 @@ from repro.mappers.spatial_common import (
 
 __all__ = ["GenMapMapper"]
 
+#: the GA's parameters: population size, generations, tournament size,
+#: per-child mutation probability and elite carried over unchanged
+POPULATION = 24
+GENERATIONS = 40
+TOURNAMENT = 3
+MUTATION_RATE = 0.25
+ELITE = 2
+
 
 @register
 @dataclass(eq=False, kw_only=True)
@@ -42,12 +50,6 @@ class GenMapMapper(Mapper):
         modeled_after="[19]",
         year=2020,
     )
-
-    population: int = 24
-    generations: int = 40
-    tournament: int = 3
-    mutation_rate: float = 0.25
-    elite: int = 2
 
     # ------------------------------------------------------------------
     def _fitness(self, dfg: DFG, cgra: CGRA, b: dict[int, int]) -> float:
@@ -97,7 +99,7 @@ class GenMapMapper(Mapper):
     def _mutate(
         self, dfg: DFG, cgra: CGRA, b: dict[int, int], rng: random.Random
     ) -> None:
-        if rng.random() >= self.mutation_rate or not b:
+        if rng.random() >= MUTATION_RATE or not b:
             return
         nid = rng.choice(list(b))
         used = set(b.values())
@@ -113,11 +115,11 @@ class GenMapMapper(Mapper):
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         rng = random.Random(self.seed)
         pop: list[dict[int, int]] = []
-        for _ in range(self.population * 3):
+        for _ in range(POPULATION * 3):
             b = random_binding(dfg, cgra, rng)
             if b is not None:
                 pop.append(b)
-            if len(pop) == self.population:
+            if len(pop) == POPULATION:
                 break
         if not pop:
             raise self.fail(
@@ -125,11 +127,11 @@ class GenMapMapper(Mapper):
             )
 
         def tournament_pick(scored):
-            group = rng.sample(scored, min(self.tournament, len(scored)))
+            group = rng.sample(scored, min(TOURNAMENT, len(scored)))
             return min(group, key=lambda sb: sb[0])[1]
 
         best: tuple[float, dict[int, int]] | None = None
-        for gen in range(self.generations):
+        for gen in range(GENERATIONS):
             scored = [
                 (self._fitness(dfg, cgra, b), b) for b in pop
             ]
@@ -138,8 +140,8 @@ class GenMapMapper(Mapper):
                 best = (scored[0][0], dict(scored[0][1]))
             if best[0] == 0.0:
                 break
-            nxt = [dict(b) for _, b in scored[: self.elite]]
-            while len(nxt) < self.population:
+            nxt = [dict(b) for _, b in scored[:ELITE]]
+            while len(nxt) < POPULATION:
                 pa = tournament_pick(scored)
                 pb = tournament_pick(scored)
                 child = self._crossover(dfg, cgra, dict(pa), pb, rng)

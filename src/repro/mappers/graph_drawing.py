@@ -28,6 +28,9 @@ from repro.mappers.spatial_common import (
 
 __all__ = ["GraphDrawingMapper"]
 
+#: pairwise-swap passes over the legalised drawing
+IMPROVE_PASSES = 3
+
 
 @register
 @dataclass(eq=False, kw_only=True)
@@ -43,8 +46,6 @@ class GraphDrawingMapper(Mapper):
         modeled_after="[23]",
         year=2009,
     )
-
-    improve_passes: int = 3
 
     def _layout(self, dfg: DFG, seed: int) -> dict[int, tuple[float, float]]:
         g = nx.Graph()
@@ -97,7 +98,7 @@ class GraphDrawingMapper(Mapper):
     ) -> None:
         """Greedy pairwise-swap improvement on wirelength."""
         nodes = list(binding)
-        for _ in range(self.improve_passes):
+        for _ in range(IMPROVE_PASSES):
             improved = False
             base = spatial_cost(dfg, cgra, binding)
             for i, a in enumerate(nodes):

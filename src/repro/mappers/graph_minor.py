@@ -46,7 +46,6 @@ class GraphMinorMapper(Mapper):
     )
 
     max_backtracks: int = 2000
-    max_route_rounds: int = 2
 
     # ------------------------------------------------------------------
     def _search(
@@ -73,8 +72,9 @@ class GraphMinorMapper(Mapper):
         return self.search(
             dfg, cgra, ii,
             adjplace.insertion_tries(
-                dfg, cgra, self.max_route_rounds,
+                dfg, cgra,
                 lambda r, work, ii_try: self._search(work, cgra, ii_try),
+                rounds=2,
             ),
             f"no minor embedding found on {cgra.name}",
         )

@@ -28,6 +28,9 @@ from repro.mappers.schedule import priority_order
 
 __all__ = ["HiMapMapper"]
 
+#: side of the square cell blocks that clusters are assigned to
+REGION = 2
+
 
 @register
 @dataclass(eq=False, kw_only=True)
@@ -43,8 +46,6 @@ class HiMapMapper(Mapper):
         modeled_after="[26]",
         year=2021,
     )
-
-    region: int = 2
 
     # ------------------------------------------------------------------
     def _cluster(self, dfg: DFG, size: int) -> dict[int, int]:
@@ -62,7 +63,7 @@ class HiMapMapper(Mapper):
     def _regions(self, cgra: CGRA) -> list[list[int]]:
         """Tile the array into region x region blocks of cell ids."""
         out = []
-        r = self.region
+        r = REGION
         for by in range(0, cgra.height, r):
             for bx in range(0, cgra.width, r):
                 block = [
@@ -77,7 +78,7 @@ class HiMapMapper(Mapper):
         self, dfg: DFG, cgra: CGRA, ii: int, fringe: int
     ) -> Mapping | None:
         regions = self._regions(cgra)
-        cluster_of = self._cluster(dfg, max(1, self.region ** 2 * ii))
+        cluster_of = self._cluster(dfg, max(1, REGION ** 2 * ii))
         n_clusters = max(cluster_of.values(), default=0) + 1
         # Clusters walk the regions in snake order: consecutive
         # clusters land in adjacent regions, keeping cut edges short.

@@ -34,6 +34,9 @@ __all__ = ["ILPSpatialMapper"]
 
 _log = logging.getLogger("repro.mappers.ilp_spatial")
 
+#: ROUTE-insertion rounds tried before the verdict is final
+ROUTE_ROUNDS = 2
+
 
 @register
 @dataclass(eq=False, kw_only=True)
@@ -53,7 +56,6 @@ class ILPSpatialMapper(Mapper):
 
     node_limit: int = 20_000
     time_limit: float = 20.0
-    max_route_rounds: int = 2
 
     def cache_token(self) -> str:
         # Solver version marker: HiGHS maps differ from those of the
@@ -114,13 +116,13 @@ class ILPSpatialMapper(Mapper):
         return self.first_valid(
             self._rounds(dfg, cgra),
             f"ILP proved spatial binding infeasible on {cgra.name}"
-            f" (within {self.max_route_rounds} route rounds)",
+            f" (within {ROUTE_ROUNDS} route rounds)",
         )
 
     def _rounds(self, dfg: DFG, cgra: CGRA) -> Iterator[Mapping | None]:
         """One candidate per ROUTE-insertion round."""
         tracer = get_tracer()
-        for rounds in range(self.max_route_rounds + 1):
+        for rounds in range(ROUTE_ROUNDS + 1):
             if rounds:
                 _log.warning(
                     "ilp_spatial: adjacency model infeasible for %s,"

@@ -45,8 +45,6 @@ class ILPTemporalMapper(Mapper):
 
     node_limit: int = 20_000
     time_limit: float = 20.0
-    max_route_rounds: int = 1
-    window: int | None = None
 
     def cache_token(self) -> str:
         # Solver version marker: HiGHS maps differ from those of the
@@ -56,7 +54,7 @@ class ILPTemporalMapper(Mapper):
     def _solve(
         self, dfg: DFG, cgra: CGRA, ii: int
     ) -> dict[int, adjplace.Slot] | None:
-        domains = adjplace.slot_domains(dfg, cgra, ii, window=self.window)
+        domains = adjplace.slot_domains(dfg, cgra, ii)
         ilp = ILP(name=f"map_{dfg.name}_ii{ii}")
         var: dict[tuple[int, adjplace.Slot], int] = {}
         for nid, dom in domains.items():
@@ -104,7 +102,7 @@ class ILPTemporalMapper(Mapper):
         return self.search(
             dfg, cgra, ii,
             adjplace.insertion_tries(
-                dfg, cgra, self.max_route_rounds,
+                dfg, cgra,
                 lambda r, work, ii_try: self._solve(work, cgra, ii_try),
             ),
             f"ILP proved the windowed model infeasible on {cgra.name}",

@@ -30,6 +30,12 @@ from repro.obs.tracer import get_tracer
 
 __all__ = ["QEAMapper"]
 
+#: bindings observed per generation, and the rotation step that moves
+#: each qubit's probability toward the best binding seen
+OBSERVATIONS = 12
+GENERATIONS = 40
+ROTATION = 0.25
+
 
 @register
 @dataclass(eq=False, kw_only=True)
@@ -45,10 +51,6 @@ class QEAMapper(Mapper):
         modeled_after="[48]",
         year=2011,
     )
-
-    observations: int = 12
-    generations: int = 40
-    rotation: float = 0.25
 
     def _observe(
         self,
@@ -111,8 +113,8 @@ class QEAMapper(Mapper):
 
         tracer = get_tracer()
         best: tuple[float, dict[int, int]] | None = None
-        for gen in range(self.generations):
-            for _ in range(self.observations):
+        for gen in range(GENERATIONS):
+            for _ in range(OBSERVATIONS):
                 b = self._observe(probs, cands, rng)
                 if b is None:
                     continue
@@ -130,9 +132,9 @@ class QEAMapper(Mapper):
                 p = probs[nid]
                 for i, c in enumerate(cands[nid]):
                     if c == target:
-                        p[i] += self.rotation
+                        p[i] += ROTATION
                     else:
-                        p[i] *= 1.0 - self.rotation / max(1, len(p) - 1)
+                        p[i] *= 1.0 - ROTATION / max(1, len(p) - 1)
                 probs[nid] = p / p.sum()
 
         if best is None:

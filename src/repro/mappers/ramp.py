@@ -29,6 +29,9 @@ from repro.mappers.schedule import priority_order
 
 __all__ = ["RampMapper"]
 
+#: randomised-order retries per II after the fixed strategies fail
+RANDOM_RETRIES = 4
+
 
 @register
 @dataclass(eq=False, kw_only=True)
@@ -44,8 +47,6 @@ class RampMapper(Mapper):
         modeled_after="[38]",
         year=2018,
     )
-
-    random_retries: int = 4
 
     def _construct(
         self,
@@ -113,7 +114,7 @@ class RampMapper(Mapper):
                 )
                 yield self._construct(dfg, cgra, ii_try, order, window)[0]
             # Strategy 4: randomised retries.
-            for _ in range(self.random_retries):
+            for _ in range(RANDOM_RETRIES):
                 yield self._construct(
                     dfg, cgra, ii_try, base_order, window, rng=rng
                 )[0]

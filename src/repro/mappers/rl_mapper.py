@@ -53,6 +53,9 @@ from repro.mappers.schedule import priority_order
 
 __all__ = ["RLMapper", "weighted_permutation"]
 
+#: step size of the REINFORCE update on the policy logits
+LEARNING_RATE = 0.4
+
 #: numpy's tolerance on ``sum(p) - 1`` (``sqrt`` of float64's epsilon)
 _SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
@@ -120,8 +123,6 @@ class RLMapper(Mapper):
     )
 
     episodes: int = 120
-    lr: float = 0.4
-    explore_temp: float = 1.0
 
     # ------------------------------------------------------------------
     def _episode(
@@ -142,7 +143,7 @@ class RLMapper(Mapper):
         steps: list[Step] = []
         placed = 0
         for nid in order:
-            z = logits[nid] / self.explore_temp
+            z = logits[nid]
             p = np.exp(z - z.max())
             p /= p.sum()
             if greedy:
@@ -191,7 +192,7 @@ class RLMapper(Mapper):
         for nid, idx, p in steps:
             grad = -p
             grad[idx] += 1.0
-            logits[nid] += self.lr * advantage * grad
+            logits[nid] += LEARNING_RATE * advantage * grad
 
     def _train(
         self, dfg: DFG, cgra: CGRA, ii: int, rng: np.random.Generator

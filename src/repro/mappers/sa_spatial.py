@@ -34,6 +34,13 @@ from repro.obs.tracer import (
 
 __all__ = ["SimulatedAnnealingSpatialMapper"]
 
+#: annealing schedule: geometric cooling from T_START down to T_END
+T_START = 4.0
+T_END = 0.05
+COOLING = 0.92
+MOVES_PER_TEMP = 60
+RESTARTS = 4
+
 
 @register
 @dataclass(eq=False, kw_only=True)
@@ -49,12 +56,6 @@ class SimulatedAnnealingSpatialMapper(Mapper):
         modeled_after="[32], [33]",
         year=2020,
     )
-
-    t_start: float = 4.0
-    t_end: float = 0.05
-    cooling: float = 0.92
-    moves_per_temp: int = 60
-    restarts: int = 4
 
     def _anneal(
         self, dfg: DFG, cgra: CGRA, rng: random.Random
@@ -87,9 +88,9 @@ class SimulatedAnnealingSpatialMapper(Mapper):
         used = set(binding.values())
         best = cost
         tracer.progress("sa_spatial.best_cost", best)
-        temp = self.t_start
-        while temp > self.t_end:
-            for _ in range(self.moves_per_temp):
+        temp = T_START
+        while temp > T_END:
+            for _ in range(MOVES_PER_TEMP):
                 tracer.count(CANDIDATES_EXPLORED)
                 nid = rng.choice(nodes)
                 old_cell = binding[nid]
@@ -122,14 +123,14 @@ class SimulatedAnnealingSpatialMapper(Mapper):
                     binding[nid] = old_cell
                     if swap_with is not None:
                         binding[swap_with] = target
-            temp *= self.cooling
+            temp *= COOLING
         return binding
 
     def _map(self, dfg: DFG, cgra: CGRA, ii: int | None) -> Mapping:
         rng = random.Random(self.seed)
         return self.first_valid(
-            (self._restart(dfg, cgra, rng, r) for r in range(self.restarts)),
-            f"routing failed after {self.restarts} annealing restarts",
+            (self._restart(dfg, cgra, rng, r) for r in range(RESTARTS)),
+            f"routing failed after {RESTARTS} annealing restarts",
         )
 
     def _restart(

@@ -137,7 +137,6 @@ class SATMapper(Mapper):
     )
 
     conflict_limit: int = 200_000
-    max_route_rounds: int = 1
 
     def _solve(
         self, model: _IncrementalModel, dfg: DFG, cgra: CGRA, ii: int
@@ -186,8 +185,6 @@ class SATMapper(Mapper):
 
         return self.search(
             dfg, cgra, ii,
-            adjplace.insertion_tries(
-                dfg, cgra, self.max_route_rounds, solve
-            ),
+            adjplace.insertion_tries(dfg, cgra, solve),
             failure,
         )

@@ -125,8 +125,6 @@ class SMTMapper(Mapper):
     )
 
     max_models: int = 200
-    max_route_rounds: int = 1
-    offset_window: int | None = None
 
     # ------------------------------------------------------------------
     def _theory_schedule(
@@ -197,11 +195,7 @@ class SMTMapper(Mapper):
         for n in nodes:
             root, _ = find(n)
             comps.setdefault(root, []).append(n)
-        window = (
-            self.offset_window
-            if self.offset_window is not None
-            else 2 * ii + len(nodes)
-        )
+        window = 2 * ii + len(nodes)
         # Member time = comp offset + rel, and must be >= 0: the
         # component's domain starts where all members are non-negative.
         rel = {n: find(n)[1] for n in nodes}
@@ -303,8 +297,6 @@ class SMTMapper(Mapper):
 
         return self.search(
             dfg, cgra, ii,
-            adjplace.insertion_tries(
-                dfg, cgra, self.max_route_rounds, solve
-            ),
+            adjplace.insertion_tries(dfg, cgra, solve),
             f"SMT skeleton exhausted on {cgra.name}",
         )

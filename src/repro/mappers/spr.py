@@ -27,6 +27,10 @@ from repro.mappers.schedule import asap, priority_order
 
 __all__ = ["SPRMapper"]
 
+#: PathFinder rounds per placement, and placements tried per II
+NEGOTIATION_ROUNDS = 12
+PERTURBATIONS = 6
+
 
 @register
 @dataclass(eq=False, kw_only=True)
@@ -42,9 +46,6 @@ class SPRMapper(Mapper):
         modeled_after="[49]",
         year=2009,
     )
-
-    negotiation_rounds: int = 12
-    perturbations: int = 6
 
     # ------------------------------------------------------------------
     def _placement(
@@ -118,7 +119,7 @@ class SPRMapper(Mapper):
             and not dfg.node(e.dst).op.is_pseudo
         ]
         history: dict[tuple, int] = {}
-        for rnd in range(self.negotiation_rounds):
+        for rnd in range(NEGOTIATION_ROUNDS):
             occ = Occupancy(cgra, ii)
             for nid, cell in binding.items():
                 occ.place_op(nid, cell, schedule[nid])
@@ -177,7 +178,7 @@ class SPRMapper(Mapper):
         rng = random.Random(self.seed)
 
         def tries(ii_try: int) -> Iterator[Mapping | None]:
-            for _ in range(self.perturbations):
+            for _ in range(PERTURBATIONS):
                 placed = self._placement(dfg, cgra, ii_try, rng)
                 if placed is None:
                     yield None

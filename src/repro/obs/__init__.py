@@ -60,7 +60,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
     get_metrics,
-    merge_snapshots,
     metrics_scope,
     render_prometheus,
     set_metrics,
@@ -139,7 +138,6 @@ __all__ = [
     "get_tracer",
     "git_revision",
     "manifest_of",
-    "merge_snapshots",
     "metrics_scope",
     "read_jsonl",
     "render_convergence",

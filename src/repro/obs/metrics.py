@@ -22,9 +22,8 @@ Three typed instruments live in a :class:`MetricsRegistry`:
   bucket's relative-width error bound.
 
 **Snapshots are plain dicts** (JSON-clean, stable key order), so they
-pickle across processes, append to JSONL ledgers, and diff/merge
-without the live objects: :func:`merge_snapshots` is the associative
-fold, :meth:`MetricsRegistry.delta_since` the subtraction.
+pickle across processes and append to JSONL ledgers;
+:meth:`MetricsRegistry.merge` folds one into a live registry.
 
 **No-op-when-disabled contract.**  Like :data:`~repro.obs.tracer.NULL_TRACER`,
 the module-level active registry defaults to :data:`NULL_REGISTRY`,
@@ -68,7 +67,6 @@ __all__ = [
     "SERVE_REQUEST_LATENCY_MS",
     "SERVE_REQUESTS_TOTAL",
     "get_metrics",
-    "merge_snapshots",
     "metrics_scope",
     "render_prometheus",
     "set_metrics",
@@ -326,71 +324,6 @@ class MetricsRegistry:
                 )
             self._get(name, cls).merge(data)
 
-    def delta_since(
-        self, before: dict[str, dict[str, Any]]
-    ) -> dict[str, dict[str, Any]]:
-        """What happened since ``before = registry.snapshot()``.
-
-        The result is itself a snapshot: counters/histograms carry the
-        subtracted totals (exact — counts are monotonic), gauges carry
-        their current value (last-write-wins under merge).
-        """
-        out: dict[str, dict[str, Any]] = {}
-        for name, now in self.snapshot().items():
-            prev = before.get(name)
-            if now["type"] == "gauge":
-                if prev is None or now["value"] != prev["value"]:
-                    out[name] = now
-                continue
-            if prev is None:
-                if _snapshot_nonzero(now):
-                    out[name] = now
-                continue
-            delta = _subtract(now, prev)
-            if _snapshot_nonzero(delta):
-                out[name] = delta
-        return out
-
-
-def _snapshot_nonzero(snap: dict[str, Any]) -> bool:
-    if snap["type"] == "counter":
-        return bool(snap["value"])
-    if snap["type"] == "histogram":
-        return bool(snap["count"])
-    return True
-
-
-def _subtract(now: dict[str, Any], prev: dict[str, Any]) -> dict[str, Any]:
-    if now["type"] != prev["type"]:
-        raise ValueError(
-            f"cannot subtract {prev['type']} snapshot from {now['type']}"
-        )
-    if now["type"] == "counter":
-        return {"type": "counter", "value": now["value"] - prev["value"]}
-    buckets: dict[str, int] = {}
-    old = prev.get("buckets") or {}
-    for key, n in (now.get("buckets") or {}).items():
-        d = n - old.get(key, 0)
-        if d:
-            buckets[key] = d
-    return {
-        "type": "histogram",
-        "count": now["count"] - prev["count"],
-        "sum": now["sum"] - prev["sum"],
-        "buckets": buckets,
-    }
-
-
-def merge_snapshots(
-    a: dict[str, dict[str, Any]], b: dict[str, dict[str, Any]]
-) -> dict[str, dict[str, Any]]:
-    """Merge two snapshots into a new one (associative; commutative for
-    counters and histograms, last-write-wins for gauges)."""
-    reg = MetricsRegistry()
-    reg.merge(a)
-    reg.merge(b)
-    return reg.snapshot()
-
 
 # ---------------------------------------------------------------------------
 class _NullInstrument:
@@ -461,9 +394,6 @@ class NullRegistry:
 
     def merge(self, snap) -> None:
         pass
-
-    def delta_since(self, before) -> dict:
-        return {}
 
     def __repr__(self) -> str:
         return "NULL_REGISTRY"

@@ -123,7 +123,6 @@ def pmap(
     *,
     jobs: int,
     timeout: float | None = None,
-    timeouts: Sequence[float | None] | None = None,
     shared: Any = None,
     keys: Sequence[Any] | None = None,
     on_result: Callable[[int, PMapResult], None] | None = None,
@@ -139,9 +138,6 @@ def pmap(
             a worker, or a single item) runs the items in-process, in
             order — same semantics, no pool.
         timeout: per-task wall-clock budget in seconds (None = none).
-        timeouts: per-item budgets overriding ``timeout`` — one entry
-            per item, ``None`` meaning unlimited.  Lets one batch mix
-            deadlines (the serve daemon's per-request budgets).
         shared: a batch-constant value (an architecture, a kernel
             suite) shipped to each participating worker once per batch
             instead of once per task.
@@ -166,16 +162,11 @@ def pmap(
         keys = list(keys)
         if len(keys) != len(items):
             raise ValueError("keys must align one-to-one with items")
-    if timeouts is not None:
-        timeouts = list(timeouts)
-        if len(timeouts) != len(items):
-            raise ValueError("timeouts must align one-to-one with items")
     if in_process(jobs, len(items)):
         prewarm()  # as the pool does before it forks
         out: list[PMapResult] = []
         for i, item in enumerate(items):
-            budget = timeouts[i] if timeouts is not None else timeout
-            res = _run_here(fn, shared, item, i, budget)
+            res = _run_here(fn, shared, item, i, timeout)
             out.append(res)
             if on_result is not None:
                 try:
@@ -185,8 +176,8 @@ def pmap(
         return out
     pool = get_pool(min(jobs, len(items)))
     results = pool.run_batch(
-        fn, items, jobs=jobs, timeout=timeout, timeouts=timeouts,
-        shared=shared, keys=keys, on_result=on_result,
+        fn, items, jobs=jobs, timeout=timeout, shared=shared, keys=keys,
+        on_result=on_result,
     )
     fold_deltas(results)
     return results  # type: ignore[return-value]

@@ -425,11 +425,8 @@ class WorkerPool:
         #: ident of the thread holding the loop, None while idle
         self._holder: int | None = None
         self._claim_lock = threading.Lock()
-        self.batches = 0
         #: workers replaced after a crash or hard timeout
         self.respawns = 0
-        #: workers replaced to cancel race() losers promptly
-        self.cancels = 0
         #: prefetched tasks taken over by an idle worker
         self.steals = 0
         self.ensure(jobs)
@@ -688,7 +685,6 @@ class WorkerPool:
                 )
         else:
             budgets = [timeout] * n
-        self.batches += 1
         header = ("batch", fn, shared, get_metrics().enabled, _cache_spec())
         g = _Group(items, budgets, header, jobs, accept, on_result,
                    on_done)
@@ -925,7 +921,6 @@ class WorkerPool:
             self._pending.extendleft(
                 (t.group, t.index) for t in reversed(slots) if t.group is not g
             )
-            self.cancels += 1
             self._replace(w)
 
     def _close(self, g: _Group) -> None:

@@ -63,7 +63,12 @@ from repro.parallel import (
 )
 from repro.serve import protocol
 from repro.serve.scheduler import open_batch
-from repro.serve.validate import Prepared, RequestError, validate_batch
+from repro.serve.validate import (
+    Prepared,
+    RequestError,
+    check_timeout,
+    validate_batch,
+)
 
 __all__ = ["MappingServer"]
 
@@ -98,6 +103,8 @@ class MappingServer:
         timeout: float | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
+        if timeout is not None:
+            check_timeout(timeout)
         self.host = host
         self.port = port
         self.jobs = max(1, jobs)

@@ -32,6 +32,7 @@ __all__ = [
     "MAX_DEADLINE_MS",
     "Prepared",
     "RequestError",
+    "check_timeout",
     "validate_batch",
     "validate_request",
 ]
@@ -45,6 +46,17 @@ _FIELDS = frozenset(
 #: the largest ``deadline_ms`` a request may carry (one day); a larger
 #: budget is not a deadline, and a non-finite one cannot arm a timer
 MAX_DEADLINE_MS = 86_400_000
+
+
+def check_timeout(seconds: float) -> float:
+    """``seconds``, if it can stand as a default deadline: positive,
+    finite and at most ``MAX_DEADLINE_MS``; else ``ValueError``."""
+    if not 0 < seconds <= MAX_DEADLINE_MS / 1000:
+        raise ValueError(
+            "a timeout must be a positive number of seconds, at most"
+            f" {MAX_DEADLINE_MS // 1000}, got {seconds!r}"
+        )
+    return seconds
 
 
 class RequestError(ValueError):

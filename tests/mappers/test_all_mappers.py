@@ -5,6 +5,7 @@ must yield a mapping that passes the validator, or raise MapFailure.
 """
 
 import inspect
+from dataclasses import fields
 
 import pytest
 
@@ -113,6 +114,52 @@ def test_map_returns_only_validated_objects(cgra, monkeypatch, mname):
             hit = create(mname, **options).map(dfg, cgra)
             assert cache.stats.hits == 1
             assert any(m is hit for m in checked)
+
+
+#: Every settable option of every registered mapper.  An option exists
+#: while some caller sets it: the search limits that bound the exact
+#: methods, and the options tests set; the rest of each method's
+#: tuning is a constant in its module.
+OPTIONS = {
+    "bnb": {"node_limit"},
+    "cluster": set(),
+    "crimson": {"restarts"},
+    "csp": {"node_limit"},
+    "dresc": {"moves_per_temp"},
+    "edge_centric": set(),
+    "epimap": set(),
+    "genmap": set(),
+    "graph_drawing": set(),
+    "graph_minor": {"max_backtracks"},
+    "himap": set(),
+    "ilp": {"node_limit", "time_limit"},
+    "ilp_spatial": {"node_limit", "time_limit"},
+    "list_sched": set(),
+    "portfolio": {"mappers", "policy", "jobs", "timeout"},
+    "qea": set(),
+    "ramp": set(),
+    "regimap": set(),
+    "rl": {"episodes"},
+    "sa_spatial": set(),
+    "sat": {"conflict_limit"},
+    "smt": {"max_models"},
+    "spr": set(),
+    "ultrafast": set(),
+}
+
+
+def test_option_set_is_pinned():
+    """Adding, renaming or removing a mapper option is a reviewed
+    change to this table."""
+    found = {
+        name: {
+            f.name for f in fields(get(name))
+            if f.init and f.name != "seed"
+        }
+        for name in names()
+    }
+    assert found == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 16
 
 
 #: Non-default values for the options whose default does not say how

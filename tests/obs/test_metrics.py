@@ -17,7 +17,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     bucket_upper,
     get_metrics,
-    merge_snapshots,
     metrics_scope,
     render_prometheus,
     set_metrics,
@@ -100,6 +99,14 @@ def _random_snapshot(rng):
     return reg.snapshot()
 
 
+def _merged(*snaps):
+    """The snapshot of a fresh registry that merged ``snaps`` in order."""
+    reg = MetricsRegistry()
+    for snap in snaps:
+        reg.merge(snap)
+    return reg.snapshot()
+
+
 def _counts(snap):
     """The exact (integer) parts of a snapshot, for equality checks."""
     out = {}
@@ -115,7 +122,7 @@ def _counts(snap):
 def test_merge_is_commutative(seed):
     rng = random.Random(seed)
     a, b = _random_snapshot(rng), _random_snapshot(rng)
-    ab, ba = merge_snapshots(a, b), merge_snapshots(b, a)
+    ab, ba = _merged(a, b), _merged(b, a)
     assert _counts(ab) == _counts(ba)
     for name in ab:
         if ab[name]["type"] == "histogram":
@@ -126,8 +133,8 @@ def test_merge_is_commutative(seed):
 def test_merge_is_associative(seed):
     rng = random.Random(seed)
     a, b, c = (_random_snapshot(rng) for _ in range(3))
-    left = merge_snapshots(merge_snapshots(a, b), c)
-    right = merge_snapshots(a, merge_snapshots(b, c))
+    left = _merged(_merged(a, b), c)
+    right = _merged(a, _merged(b, c))
     assert _counts(left) == _counts(right)
     for name in left:
         if left[name]["type"] == "histogram":
@@ -138,32 +145,6 @@ def test_snapshot_is_json_clean():
     rng = random.Random(7)
     snap = _random_snapshot(rng)
     assert json.loads(json.dumps(snap)) == snap
-
-
-def test_delta_since_then_merge_roundtrips():
-    reg = MetricsRegistry()
-    reg.counter(MAPS_TOTAL).inc(3)
-    reg.histogram(MAP_LATENCY_MS).observe(5.0)
-    before = reg.snapshot()
-    reg.counter(MAPS_TOTAL).inc(2)
-    reg.histogram(MAP_LATENCY_MS).observe(9.0)
-    reg.histogram(MAP_LATENCY_MS).observe(0.5)
-    delta = reg.delta_since(before)
-    assert delta[MAPS_TOTAL]["value"] == 2
-    assert delta[MAP_LATENCY_MS]["count"] == 2
-    # before + delta == now, exactly on the integer parts.
-    rebuilt = merge_snapshots(before, delta)
-    assert _counts(rebuilt) == _counts(reg.snapshot())
-
-
-def test_delta_since_drops_untouched_instruments():
-    reg = MetricsRegistry()
-    reg.counter("quiet").inc(5)
-    before = reg.snapshot()
-    reg.counter("busy").inc()
-    delta = reg.delta_since(before)
-    assert "quiet" not in delta
-    assert delta["busy"]["value"] == 1
 
 
 def test_merge_rejects_unknown_type():

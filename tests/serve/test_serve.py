@@ -710,12 +710,30 @@ def test_concurrent_batch_flood_is_answered_in_full():
           "deadline_ms": float("inf")}, "requests[0].deadline_ms"),
         ({"kernel": "dot_product", "arch": "simple4x4",
           "deadline_ms": MAX_DEADLINE_MS + 1}, "requests[0].deadline_ms"),
+        # an algorithm constant is not an option a client may set
+        ({"kernel": "dot_product", "arch": "simple4x4", "mapper": "dresc",
+          "options": {"cooling": 0.5}}, "requests[0].options"),
     ],
 )
 def test_validate_request_names_the_offending_field(doc, field):
     with pytest.raises(RequestError) as exc:
         validate_request(doc, 0)
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize(
+    "timeout", [float("inf"), float("nan"), 0.0, -1.0, MAX_DEADLINE_MS]
+)
+def test_server_rejects_an_unusable_default_timeout_before_forking(timeout):
+    """A default deadline no request could carry as ``deadline_ms`` is
+    refused at construction, before any pool worker is forked."""
+    from repro.parallel import pool as pool_mod
+    from repro.parallel import shutdown
+
+    shutdown()
+    with pytest.raises(ValueError, match="timeout"):
+        MappingServer(port=0, jobs=1, timeout=timeout)
+    assert pool_mod._POOL is None
 
 
 def test_validate_request_accepts_the_full_shape():

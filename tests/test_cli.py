@@ -81,6 +81,22 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize("command", [
+    ["compare", "--kernels", "dot_product", "--mappers", "list_sched"],
+    ["dse"],
+    ["fuzz", "--seeds", "0:1"],
+    ["serve", "--port", "0"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_unusable_timeout_is_a_usage_error(command, value, capsys):
+    """Every ``--timeout`` flag refuses a value that is not a positive,
+    finite number of seconds before any work starts."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--timeout", value])
+    assert exc.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
+
+
 def test_map_positional_kernel_and_fuzzy_names(capsys):
     rc = main(["map", "dotprod", "--arch", "4x4", "--mapper", "sa_spatial"])
     assert rc == 0

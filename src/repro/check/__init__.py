@@ -8,18 +8,21 @@ that.  This subsystem fuzzes every mapper against the oracle chain:
 
 * :mod:`repro.check.problems` — deterministic random cases (generator
   family x arch preset x mapper x cache mode), regenerable from a seed;
-* :mod:`repro.check.oracles` — validate + simulate-vs-interpret;
+* :mod:`repro.check.oracles` — the interpreter reference and the
+  simulate-vs-interpret comparison;
 * :mod:`repro.check.metamorphic` — relabeling, pass-pipeline, cache
   and fork replay invariants;
 * :mod:`repro.check.shrink` — delta-debugging minimizer;
 * :mod:`repro.check.report` — JSONL failure log and ready-to-paste
   pytest reproducers;
-* :mod:`repro.check.driver` — the sweep (`repro fuzz` CLI, CI smoke).
+* :mod:`repro.check.driver` — the sweep (`repro fuzz` CLI, CI smoke),
+  whose one oracle-chain function (map, validate, simulate) judges
+  each case, its relabeled twin and every shrink candidate alike.
 
 See DESIGN.md §9 for the conformance contract.
 """
 
-from repro.check.driver import PINNED, FuzzReport, run_case, run_fuzz
+from repro.check.driver import FuzzReport, run_case, run_fuzz
 from repro.check.metamorphic import (
     cached_replay_difference,
     fork_replay_difference,
@@ -27,11 +30,7 @@ from repro.check.metamorphic import (
     relabel,
     relabel_difference,
 )
-from repro.check.oracles import (
-    mapping_violations,
-    reference_outputs,
-    sim_disagreement,
-)
+from repro.check.oracles import reference_outputs, sim_disagreement
 from repro.check.problems import (
     DEFAULT_ARCHS,
     GENERATOR_FAMILIES,
@@ -46,12 +45,7 @@ from repro.check.report import (
     emit_pytest,
     write_failure_log,
 )
-from repro.check.shrink import (
-    ShrinkBudget,
-    shrink_dfg,
-    shrink_inputs,
-    shrink_iters,
-)
+from repro.check.shrink import ShrinkBudget, shrink_dfg
 
 __all__ = [
     "Case",
@@ -59,7 +53,6 @@ __all__ = [
     "Divergence",
     "FuzzReport",
     "GENERATOR_FAMILIES",
-    "PINNED",
     "ShrinkBudget",
     "cached_replay_difference",
     "case_dfg",
@@ -68,7 +61,6 @@ __all__ = [
     "emit_pytest",
     "fork_replay_difference",
     "generate_case",
-    "mapping_violations",
     "pipeline_difference",
     "reference_outputs",
     "relabel",
@@ -76,8 +68,6 @@ __all__ = [
     "run_case",
     "run_fuzz",
     "shrink_dfg",
-    "shrink_inputs",
-    "shrink_iters",
     "sim_disagreement",
     "write_failure_log",
 ]

@@ -13,20 +13,21 @@ pool) and aggregates a :class:`FuzzReport`.  Per case:
 4. map with the case's mapper (``MapFailure`` is a legitimate outcome
    — *unmapped* — and a wall-clock overrun is *timeout*; any other
    exception is a ``map-crash`` divergence);
-5. oracle chain on the result: ``Mapping.validate`` must be clean and,
-   for modulo mappings, cycle-accurate simulation must equal the
+5. oracles on the result: ``Mapping.validate`` must be clean and, for
+   modulo mappings, cycle-accurate simulation must equal the
    reference series;
-6. mode invariants: on even seeds the relabeled twin is mapped and
-   checked too; cases with ``cache_mode == "on"`` assert cached replay
-   is byte-identical to a cold solve; every 16th seed asserts fork
-   workers return the in-process bytes;
-7. every divergence is delta-debugged by :mod:`repro.check.shrink`
-   down to a small reproducer and emitted as a pytest module.
+6. mode invariants: on even seeds the relabeled twin goes through
+   steps 4-5 too; cases with ``cache_mode == "on"`` assert cached
+   replay is byte-identical to a cold solve; every 16th seed asserts
+   fork workers return the in-process bytes;
+7. every divergence of steps 4-5 is delta-debugged by
+   :mod:`repro.check.shrink` down to a small reproducer and emitted as
+   a pytest module.
 
-Known, documented failures are pinned in :data:`PINNED`: they are
-reported (and land in the JSONL log) but do not fail the sweep.  The
-policy is the issue's: a divergence is either fixed or pinned with a
-tracking note — never silently tolerated.
+Steps 4-5 are one function, :func:`_oracle_chain`, shared by the case
+itself, its relabeled twin and the shrinker's predicate, so all three
+reach a verdict the same way.  A divergence fails the sweep; the
+policy is to fix the component at fault and commit the reproducer.
 """
 
 from __future__ import annotations
@@ -66,13 +67,7 @@ from repro.obs.tracer import (
 )
 from repro.parallel import PMapResult, TaskTimeout, race, time_limit
 
-__all__ = ["FuzzReport", "PINNED", "run_case", "run_fuzz"]
-
-#: Documented known failures: (mapper, phase) -> tracking note.  A
-#: divergence matching an entry is reported as *pinned* instead of
-#: failing the sweep.  Keep this empty unless a fix genuinely cannot
-#: land in the same change; every entry must name an issue.
-PINNED: dict[tuple[str, str], str] = {}
+__all__ = ["FuzzReport", "run_case", "run_fuzz"]
 
 
 @dataclass
@@ -87,12 +82,8 @@ class FuzzReport:
     divergences: list[Divergence] = field(default_factory=list)
 
     @property
-    def unexplained(self) -> list[Divergence]:
-        return [d for d in self.divergences if not d.pinned]
-
-    @property
     def ok(self) -> bool:
-        return not self.unexplained
+        return not self.divergences
 
     def merge(self, other: "FuzzReport") -> None:
         self.cases += other.cases
@@ -103,87 +94,68 @@ class FuzzReport:
         self.divergences.extend(other.divergences)
 
     def summary(self) -> str:
-        pinned = len(self.divergences) - len(self.unexplained)
         return (
             f"{self.cases} cases: {self.mapped} mapped,"
             f" {self.unmapped} unmapped, {self.timeouts} timeouts,"
-            f" {self.skipped} skipped,"
-            f" {len(self.unexplained)} divergences"
-            f" ({pinned} pinned)"
+            f" {self.skipped} skipped, {len(self.divergences)} divergences"
         )
 
 
-def _divergence(case: Case, phase: str, detail: str, **kw) -> Divergence:
-    return Divergence(
-        seed=case.seed,
-        family=case.family,
-        arch=case.arch,
-        mapper=case.mapper,
-        cache_mode=case.cache_mode,
-        phase=phase,
-        detail=detail,
-        n_iters=case.n_iters,
-        pinned=(case.mapper, phase) in PINNED,
-        **kw,
-    )
+def _oracle_chain(
+    case: Case, dfg: DFG, inputs, cgra, reference, timeout: float | None
+) -> tuple[str, str | None, str]:
+    """Map ``dfg`` with the case's mapper and hold the result to the
+    oracles; returns ``(outcome, phase, detail)``.
 
-
-def _map_case(case: Case, dfg: DFG, cgra, timeout: float | None):
-    """Run the case's mapper; returns (mapping | None, outcome)."""
+    ``outcome`` is ``mapped``, ``unmapped``, ``timeout`` or the crash
+    text.  ``phase`` is the first phase that failed (``map-crash``,
+    ``validate``, ``sim``, ``sim-crash``), or None when nothing did;
+    ``detail`` describes that failure.
+    """
     from repro.core.registry import create
 
     mapper = create(case.mapper, seed=case.seed)
     try:
         with time_limit(timeout):
-            return mapper.map(dfg, cgra), "mapped"
+            mapping = mapper.map(dfg, cgra)
     except MapFailure:
-        return None, "unmapped"
+        return "unmapped", None, ""
     except TaskTimeout:
-        return None, "timeout"
+        return "timeout", None, ""
     except Exception as ex:
-        return None, f"crash: {type(ex).__name__}: {ex}"
-
-
-def _oracle_failure(
-    case: Case, dfg: DFG, inputs, cgra, timeout: float | None
-) -> tuple[str, str] | None:
-    """(phase, detail) of the first oracle-chain failure, else None.
-
-    This is the *re-check* the shrinker drives: any failure counts, so
-    a divergence may legally morph into a related one while shrinking
-    (standard delta-debugging behaviour).
-    """
-    try:
-        reference = oracles.reference_outputs(dfg, case.n_iters, inputs)
-    except Exception:
-        return None  # graph no longer interprets: not a mapper failure
-    mapping, outcome = _map_case(case, dfg, cgra, timeout)
-    if mapping is None:
-        if outcome.startswith("crash"):
-            return "map-crash", outcome
-        return None
-    violations = oracles.mapping_violations(mapping)
+        crash = f"crash: {type(ex).__name__}: {ex}"
+        return crash, "map-crash", crash
+    violations = mapping.validate(raise_on_error=False)
     if violations:
-        return "validate", "; ".join(violations[:4])
+        return "mapped", "validate", "; ".join(violations[:4])
     if mapping.kind == "modulo":
         try:
             delta = oracles.sim_disagreement(
                 mapping, case.n_iters, inputs, reference
             )
         except Exception as ex:
-            return "sim-crash", f"{type(ex).__name__}: {ex}"
+            return "mapped", "sim-crash", f"{type(ex).__name__}: {ex}"
         if delta:
-            return "sim", delta
-    return None
+            return "mapped", "sim", delta
+    return "mapped", None, ""
 
 
 def _shrunk(case: Case, dfg: DFG, inputs, cgra, timeout) -> DFG:
+    """Delta-debug ``dfg`` while the oracle chain still fails on it.
+
+    Any failing phase counts, so a divergence may legally morph into a
+    related one while shrinking (standard delta-debugging behaviour);
+    a candidate that no longer interprets raises, which the budget
+    reads as "not failing".
+    """
+
     def still_fails(candidate: DFG) -> bool:
         sub = restrict_inputs(inputs, candidate)
-        return (
-            _oracle_failure(case, candidate, sub, cgra, timeout)
-            is not None
+        reference = oracles.reference_outputs(candidate, case.n_iters, sub)
+        _, phase, _ = _oracle_chain(
+            case, candidate, sub, cgra, reference, timeout
         )
+        return phase is not None
 
     return shrink_dfg(dfg, still_fails, budget=ShrinkBudget())
 
@@ -208,10 +180,11 @@ def run_case(
 
         def diverge(phase: str, detail: str, graph: DFG | None = None):
             tracer.count(CHECK_DIVERGENCES)
-            d = _divergence(
-                case, phase, detail,
-                dfg_pretty=dfg.pretty(),
-                inputs=dict(inputs),
+            d = Divergence(
+                seed=case.seed, family=case.family, arch=case.arch,
+                mapper=case.mapper, cache_mode=case.cache_mode,
+                phase=phase, detail=detail, n_iters=case.n_iters,
+                dfg_pretty=dfg.pretty(), inputs=dict(inputs),
             )
             if graph is not None:
                 graph = renumber(graph)
@@ -242,80 +215,33 @@ def run_case(
             if delta:
                 diverge("passes", delta)
 
-        # 4. Map.
+        # 4-5. Map, then the oracle chain on the result.
         with tracer.span("map_attempt"):
-            mapping, outcome = _map_case(case, dfg, cgra, timeout)
-        if mapping is None:
-            if outcome == "unmapped":
-                report.unmapped += 1
-            elif outcome == "timeout":
-                report.timeouts += 1
-            else:
-                graph = (
-                    _shrunk(case, dfg, inputs, cgra, timeout)
-                    if shrink else None
-                )
-                diverge("map-crash", outcome, graph)
-            return report
-        report.mapped += 1
-
-        # 5. Oracle chain on the result.
-        violations = oracles.mapping_violations(mapping)
-        if violations:
-            graph = (
-                _shrunk(case, dfg, inputs, cgra, timeout)
-                if shrink else None
+            outcome, phase, detail = _oracle_chain(
+                case, dfg, inputs, cgra, reference, timeout
             )
-            diverge("validate", "; ".join(violations[:4]), graph)
+        if outcome == "mapped":
+            report.mapped += 1
+        elif outcome == "unmapped":
+            report.unmapped += 1
+        elif outcome == "timeout":
+            report.timeouts += 1
+        if phase is not None:
+            graph = (
+                _shrunk(case, dfg, inputs, cgra, timeout) if shrink else None
+            )
+            diverge(phase, detail, graph)
+        if outcome != "mapped" or phase is not None:
             return report
-        if mapping.kind == "modulo":
-            try:
-                delta = oracles.sim_disagreement(
-                    mapping, case.n_iters, inputs, reference
-                )
-            except Exception as ex:
-                delta = None
-                graph = (
-                    _shrunk(case, dfg, inputs, cgra, timeout)
-                    if shrink else None
-                )
-                diverge(
-                    "sim-crash", f"{type(ex).__name__}: {ex}", graph
-                )
-                return report
-            if delta:
-                graph = (
-                    _shrunk(case, dfg, inputs, cgra, timeout)
-                    if shrink else None
-                )
-                diverge("sim", delta, graph)
-                return report
 
         # 6. Mode invariants.
         if metamorphic and case.seed % 2 == 0:
             twin, _ = relabel(dfg, case.seed)
-            t_mapping, t_outcome = _map_case(case, twin, cgra, timeout)
-            if t_mapping is not None:
-                t_viol = oracles.mapping_violations(t_mapping)
-                if t_viol:
-                    diverge(
-                        "relabel-map",
-                        "relabeled twin fails validation: "
-                        + "; ".join(t_viol[:4]),
-                    )
-                elif t_mapping.kind == "modulo":
-                    t_delta = oracles.sim_disagreement(
-                        t_mapping, case.n_iters, inputs, reference
-                    )
-                    if t_delta:
-                        diverge(
-                            "relabel-map",
-                            f"relabeled twin diverges: {t_delta}",
-                        )
-            elif t_outcome.startswith("crash"):
-                diverge(
-                    "relabel-map", f"relabeled twin: {t_outcome}"
-                )
+            _, phase, detail = _oracle_chain(
+                case, twin, inputs, cgra, reference, timeout
+            )
+            if phase is not None:
+                diverge("relabel-map", f"relabeled twin {phase}: {detail}")
         if case.cache_mode == "on":
             try:
                 with time_limit(timeout):
@@ -351,7 +277,7 @@ def _crashed(res: PMapResult) -> bool:
 
 
 def _diverged(res: PMapResult) -> bool:
-    """A ``fail_fast`` sweep also ends at an unexplained divergence."""
+    """A ``fail_fast`` sweep also ends at a divergence."""
     return _crashed(res) or (res.ok and not res.value.ok)
 
 
@@ -380,8 +306,8 @@ def run_fuzz(
         timeout: per-map wall-clock budget in seconds (SIGALRM-based,
             like the bench harness; None = unbounded).
         log: append divergences to this JSONL file.
-        fail_fast: stop at the first unexplained divergence (the
-            cases after it are not reported, or not run at all).
+        fail_fast: stop at the first divergence (the cases after it
+            are not reported, or not run at all).
         jobs: fork workers for the sweep itself (1 = in-process).
         metamorphic: also check relabel / pass-pipeline / fork-replay
             invariants (on by default; the CLI's ``--oracle-only``

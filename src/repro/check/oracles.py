@@ -18,7 +18,9 @@ holds every mapper to three oracles, in order:
 
 Spatial mappings have no schedule to execute, so oracle 2 does not
 apply; their conformance surface is oracle 1 plus the metamorphic
-invariants.
+invariants.  The driver runs oracles 1 and 2 in one function,
+``repro.check.driver._oracle_chain``, which calls
+:meth:`Mapping.validate` directly.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.ir.dfg import DFG
 from repro.ir.interp import evaluate
 from repro.sim.machine import simulate_mapping
 
-__all__ = ["mapping_violations", "reference_outputs", "sim_disagreement"]
+__all__ = ["reference_outputs", "sim_disagreement"]
 
 
 def reference_outputs(
@@ -38,11 +40,6 @@ def reference_outputs(
 ) -> dict[str, list[int]]:
     """The ground truth: sequential interpretation of ``dfg``."""
     return evaluate(dfg, n_iters, inputs)
-
-
-def mapping_violations(mapping: Mapping) -> list[str]:
-    """Oracle 1: the validator's violation list (empty when conforming)."""
-    return mapping.validate(raise_on_error=False)
 
 
 def _first_mismatch(

@@ -40,12 +40,10 @@ class Divergence:
     reproducer: str = ""
     n_iters: int = 4
     inputs: dict = field(default_factory=dict)
-    pinned: bool = False  # documented xfail, not an unexplained failure
 
     def headline(self) -> str:
-        tag = " [pinned]" if self.pinned else ""
         return (
-            f"{self.phase}{tag}: seed={self.seed} {self.family} on"
+            f"{self.phase}: seed={self.seed} {self.family} on"
             f" {self.arch} via {self.mapper}: {self.detail}"
         )
 

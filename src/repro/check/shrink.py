@@ -19,11 +19,8 @@ order each round:
 Every candidate is structurally re-checked (``DFG.check``) before the
 predicate runs, so the predicate only ever sees well-formed graphs.
 The result is deterministic for a deterministic predicate: no
-randomness is involved anywhere.
-
-:func:`shrink_inputs` then minimizes the input series the same way
-(sample values toward 0), and :func:`shrink_iters` trims the number of
-observed iterations.
+randomness is involved anywhere.  The input series and the iteration
+count are not shrunk: the reproducer keeps the case's own.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from typing import Callable
 from repro.ir.dfg import DFG, Op
 from repro.obs.tracer import SHRINK_ROUNDS, get_tracer
 
-__all__ = ["ShrinkBudget", "shrink_dfg", "shrink_inputs", "shrink_iters"]
+__all__ = ["ShrinkBudget", "shrink_dfg"]
 
 Predicate = Callable[[DFG], bool]
 
@@ -193,51 +190,4 @@ def shrink_dfg(
                     tracer.count(SHRINK_ROUNDS)
                     improved = True
                     break
-    return current
-
-
-def shrink_inputs(
-    dfg: DFG,
-    inputs: dict[str, list[int]],
-    predicate: Callable[[dict[str, list[int]]], bool],
-    *,
-    budget: ShrinkBudget | None = None,
-) -> dict[str, list[int]]:
-    """Move input samples toward 0 while the failure persists."""
-    budget = budget or ShrinkBudget(max_checks=200)
-    current = {k: list(v) for k, v in inputs.items()}
-    improved = True
-    while improved and not budget.spent():
-        improved = False
-        for name in sorted(current):
-            for i, value in enumerate(current[name]):
-                for cand in _const_ladder(value):
-                    if budget.spent():
-                        return current
-                    trial = {k: list(v) for k, v in current.items()}
-                    trial[name][i] = cand
-                    budget.checks += 1
-                    try:
-                        keep = bool(predicate(trial))
-                    except Exception:
-                        keep = False
-                    if keep:
-                        current = trial
-                        improved = True
-                        break
-    return current
-
-
-def shrink_iters(
-    n_iters: int,
-    predicate: Callable[[int], bool],
-) -> int:
-    """Smallest iteration count (>= 1) that still reproduces."""
-    current = n_iters
-    for n in range(1, n_iters):
-        try:
-            if predicate(n):
-                return n
-        except Exception:
-            continue
     return current

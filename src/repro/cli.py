@@ -793,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--fail-fast", action="store_true",
-        help="stop at the first unexplained divergence",
+        help="stop at the first divergence",
     )
     _add_parallel_flags(p)
     _add_obs_flags(p)

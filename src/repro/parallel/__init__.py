@@ -59,7 +59,6 @@ from typing import Any, Callable, Sequence
 from repro.parallel.pool import (
     WorkerCrash,
     WorkerPool,
-    _log,
     get_pool,
     prewarm,
     shutdown,
@@ -125,7 +124,6 @@ def pmap(
     timeout: float | None = None,
     shared: Any = None,
     keys: Sequence[Any] | None = None,
-    on_result: Callable[[int, PMapResult], None] | None = None,
 ) -> list[PMapResult]:
     """Apply ``fn`` to every item over the persistent worker pool.
 
@@ -146,11 +144,6 @@ def pmap(
             receive deep copies of the primary's result, marked
             ``deduped``.  Only the pool path dedupes; in-process every
             item runs.
-        on_result: called as ``on_result(index, result)`` the moment
-            each item settles (duplicates settle with their primary),
-            letting a caller stream results with no batch barrier.  It
-            runs on the dispatching thread; exceptions are logged and
-            swallowed, never propagated into the batch.
 
     Returns:
         One :class:`PMapResult` per item, submission-ordered.  The
@@ -164,20 +157,13 @@ def pmap(
             raise ValueError("keys must align one-to-one with items")
     if in_process(jobs, len(items)):
         prewarm()  # as the pool does before it forks
-        out: list[PMapResult] = []
-        for i, item in enumerate(items):
-            res = _run_here(fn, shared, item, i, timeout)
-            out.append(res)
-            if on_result is not None:
-                try:
-                    on_result(i, res)
-                except Exception:
-                    _log.exception("pool: on_result callback failed")
-        return out
+        return [
+            _run_here(fn, shared, item, i, timeout)
+            for i, item in enumerate(items)
+        ]
     pool = get_pool(min(jobs, len(items)))
     results = pool.run_batch(
-        fn, items, jobs=jobs, timeout=timeout, shared=shared, keys=keys,
-        on_result=on_result,
+        fn, items, jobs=jobs, timeout=timeout, shared=shared, keys=keys
     )
     fold_deltas(results)
     return results  # type: ignore[return-value]

@@ -3,7 +3,7 @@ failures shrink into runnable reproducers."""
 
 import pytest
 
-from repro.check import PINNED, run_case, run_fuzz
+from repro.check import run_case, run_fuzz
 from repro.check.problems import Case, generate_case
 from repro.check.report import dfg_builder_source
 from repro.core import registry
@@ -98,19 +98,6 @@ def test_conviction_shrinks_and_emits_reproducer(corrupted_list_sched):
     assert len(rebuilt) <= len(case_dfg(case))
 
 
-def test_pinned_failures_do_not_fail_the_sweep(
-    corrupted_list_sched, monkeypatch
-):
-    case = _seed_with_add(corrupted_list_sched)
-    monkeypatch.setitem(
-        PINNED, ("list_sched", "sim"), "tracking: synthetic test pin"
-    )
-    report = run_case(case, shrink=False, metamorphic=False)
-    assert report.divergences  # still reported...
-    assert report.ok  # ...but explained
-    assert all(d.pinned for d in report.divergences if d.phase == "sim")
-
-
 def test_crashing_mapper_is_a_divergence(monkeypatch):
     base = registry.get("list_sched")
 
@@ -125,6 +112,57 @@ def test_crashing_mapper_is_a_divergence(monkeypatch):
     assert not report.ok
     assert report.divergences[0].phase == "map-crash"
     assert "kaboom" in report.divergences[0].detail
+
+
+# ---------------------------------------------------------------------------
+# The relabeled twin goes through the same oracle chain as the case.
+# ---------------------------------------------------------------------------
+def _is_twin(dfg: DFG) -> bool:
+    return "_perm" in dfg.name
+
+
+def test_twin_sim_crash_is_a_divergence_not_a_sweep_error(monkeypatch):
+    from repro.check import oracles
+
+    real = oracles.sim_disagreement
+
+    def crash_on_twin(mapping, *args):
+        if _is_twin(mapping.dfg):
+            raise IndexError("synthetic twin-only simulator fault")
+        return real(mapping, *args)
+
+    monkeypatch.setattr(oracles, "sim_disagreement", crash_on_twin)
+    report = run_fuzz(range(0, 6), mappers=["list_sched"], timeout=20)
+    twins = [d for d in report.divergences if d.phase == "relabel-map"]
+    assert twins
+    assert {d.phase for d in report.divergences} == {"relabel-map"}
+    assert all(
+        d.detail.startswith("relabeled twin sim-crash: IndexError")
+        for d in twins
+    )
+
+
+def test_twin_map_crash_is_one_relabel_map_divergence(
+    monkeypatch, fresh_pool
+):
+    base = registry.get("list_sched")
+
+    class TwinCrashing(base):  # type: ignore[misc,valid-type]
+        def _map(self, dfg, cgra, ii):
+            if _is_twin(dfg):
+                raise RuntimeError("twin only")
+            return super()._map(dfg, cgra, ii)
+
+    monkeypatch.setitem(registry._REGISTRY, "list_sched", TwinCrashing)
+    report = run_fuzz(range(0, 6), mappers=["list_sched"], timeout=20)
+    assert [(d.seed, d.phase) for d in report.divergences] == [
+        (0, "relabel-map"), (2, "relabel-map"), (4, "relabel-map"),
+    ]
+    assert all(
+        d.detail == "relabeled twin map-crash: crash: RuntimeError:"
+        " twin only"
+        for d in report.divergences
+    )
 
 
 def test_builder_source_round_trips_carried_edges():

@@ -1,11 +1,6 @@
 """The shrinker: minimal, deterministic, structure-preserving."""
 
-from repro.check.shrink import (
-    ShrinkBudget,
-    shrink_dfg,
-    shrink_inputs,
-    shrink_iters,
-)
+from repro.check.shrink import ShrinkBudget, shrink_dfg
 from repro.ir import randdfg
 from repro.ir.dfg import DFG, Op
 
@@ -83,19 +78,3 @@ def test_shrinks_constants_toward_zero():
     consts = [n.value for n in small.nodes() if n.op is Op.CONST]
     assert consts and all(abs(v) <= 1 for v in consts)
 
-
-def test_shrink_inputs_moves_samples_to_zero():
-    inputs = {"x": [97, -55, 3], "y": [12, 0, 8]}
-
-    def pred(cand):
-        return cand["x"][0] != 0  # only the first x sample matters
-
-    small = shrink_inputs(None, inputs, pred)
-    assert small["x"][0] in (1, -1)  # minimal nonzero witness
-    assert small["y"] == [0, 0, 0]
-    assert small["x"][1:] == [0, 0]
-
-
-def test_shrink_iters_finds_smallest_count():
-    assert shrink_iters(6, lambda n: n >= 3) == 3
-    assert shrink_iters(4, lambda n: False) == 4

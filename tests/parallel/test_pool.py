@@ -357,9 +357,8 @@ def test_non_finite_budget_leaves_the_worker_usable():
 
 
 def test_on_result_streams_settled_tasks_without_barrier():
-    warm_pool(2)
     seen: list[tuple[int, float]] = []
-    results = pmap(
+    results = warm_pool(2).run_batch(
         _sleep_tagged,
         [("slow", 0.6), ("fast", 0.0)],
         jobs=2,
@@ -374,9 +373,8 @@ def test_on_result_streams_settled_tasks_without_barrier():
 
 
 def test_on_result_fires_for_deduped_copies():
-    warm_pool(2)
     seen: list[tuple[int, bool]] = []
-    results = pmap(
+    results = warm_pool(2).run_batch(
         _double,
         [5, 5, 6],
         jobs=2,
@@ -389,18 +387,16 @@ def test_on_result_fires_for_deduped_copies():
     assert seen.index((1, True)) == seen.index((0, False)) + 1
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_on_result_errors_are_logged_not_raised(jobs, caplog):
-    """A failing callback is logged on both paths and never reaches
-    the batch: every item still settles and is returned."""
-    if jobs > 1:
-        warm_pool(jobs)
+def test_on_result_errors_are_logged_not_raised(caplog):
+    """A failing callback is logged and never reaches the batch: every
+    item still settles and is returned."""
 
     def boom(i, r):
         raise RuntimeError(f"callback {i}")
 
+    pool = warm_pool(2)
     with caplog.at_level("ERROR", logger="repro.parallel.pool"):
-        results = pmap(_double, [1, 2], jobs=jobs, on_result=boom)
+        results = pool.run_batch(_double, [1, 2], jobs=2, on_result=boom)
     assert [r.value for r in results] == [2, 4]
     failures = [
         rec for rec in caplog.records

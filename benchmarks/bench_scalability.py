@@ -23,9 +23,9 @@ SIZES = [4, 5, 6]
 
 def _sweep():
     # Warm up untimed, on an array the sweep does not time: the first
-    # map in a process pays the mapper stack's imports (scipy among
-    # them, most of a second), which would otherwise land on the 4x4
-    # cell and shrink the growth ratio below.
+    # map in a process pays the mapper stack's imports (about a third
+    # of a second), which would otherwise land on the 4x4 cell and
+    # shrink the growth ratio below.
     warm = presets.simple_cgra(3, 3)
     for mname in ("dresc", "himap"):
         create(mname).map(kernels.kernel("dot_product"), warm)

@@ -60,34 +60,54 @@ class MappingProblem:
     def rec_mii(self) -> int:
         """Recurrence-constrained minimum II.
 
-        ``max over cycles of ceil(sum(latency) / sum(distance))``.
-        Parallel edges between the same node pair are collapsed to the
-        minimum distance, which is the binding variant for the bound.
-        """
-        import networkx as nx
+        ``max over cycles of ceil(sum(latency) / sum(distance))``, at
+        least 1.  Parallel edges between the same node pair are
+        collapsed to the minimum distance, which is the binding variant
+        for the bound.
 
-        g = nx.DiGraph()
-        for nid in self.dfg:
-            g.add_node(nid)
+        No cycle is enumerated (a DFG can have exponentially many).
+        For ``D > 0``, ``ceil(L / D) <= II`` holds exactly when
+        ``L - II * D <= 0``, so RecMII is the least ``II >= 1`` at which
+        no cycle has positive weight under the edge weights
+        ``latency(src) - II * dist``.  Feasibility only grows with II,
+        so each strongly connected component bisects for its own bound
+        with a Bellman-Ford positive-cycle test.
+        """
+        dist: dict[tuple[int, int], int] = {}
         for e in self.dfg.edges():
-            if g.has_edge(e.src, e.dst):
-                g[e.src][e.dst]["dist"] = min(
-                    g[e.src][e.dst]["dist"], e.dist
-                )
-            else:
-                g.add_edge(e.src, e.dst, dist=e.dist)
+            key = (e.src, e.dst)
+            if key not in dist or e.dist < dist[key]:
+                dist[key] = e.dist
+        succ: dict[int, list[int]] = {nid: [] for nid in self.dfg}
+        for src, dst in dist:
+            succ[src].append(dst)
+        latency = {nid: self.dfg.node(nid).op.latency for nid in self.dfg}
 
         best = 1
-        for cycle in nx.simple_cycles(g):
-            lat = sum(self.dfg.node(n).op.latency for n in cycle)
-            dist = sum(
-                g[cycle[i]][cycle[(i + 1) % len(cycle)]]["dist"]
-                for i in range(len(cycle))
-            )
-            if dist == 0:
+        for comp in _cyclic_components(succ):
+            edges = [
+                (src, dst, latency[src], dist[src, dst])
+                for src in comp for dst in succ[src] if dst in comp
+            ]
+            zero = {n: [] for n in comp}
+            for src, dst, _lat, d in edges:
+                if d == 0:
+                    zero[src].append(dst)
+            if _cyclic_components(zero):
                 # Impossible: dist-0 cycles are rejected by DFG.check().
                 raise ValueError("zero-distance dependence cycle")
-            best = max(best, math.ceil(lat / dist))
+            if not _positive_cycle(comp, edges, best):
+                continue
+            # Every cycle has D >= 1 and L <= the component's latency
+            # sum, so that II is always feasible.
+            lo, hi = best, max(best + 1, sum(latency[n] for n in comp))
+            while hi - lo > 1:  # infeasible at lo, feasible at hi
+                mid = (lo + hi) // 2
+                if _positive_cycle(comp, edges, mid):
+                    lo = mid
+                else:
+                    hi = mid
+            best = hi
         return best
 
     @cached_property
@@ -107,3 +127,74 @@ class MappingProblem:
             f" ResMII={self.res_mii}, RecMII={self.rec_mii},"
             f" MII={self.mii}"
         )
+
+
+def _cyclic_components(succ: dict[int, list[int]]) -> list[set[int]]:
+    """The strongly connected components of ``succ`` that hold a cycle:
+    two or more nodes, or one node with a self-loop.
+
+    Iterative Tarjan, so deep graphs do not hit the recursion limit.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    found: list[set[int]] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, it = work[-1]
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(succ[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        comp.add(member)
+                        if member == node:
+                            break
+                    if len(comp) > 1 or node in succ[node]:
+                        found.append(comp)
+    return found
+
+
+def _positive_cycle(
+    nodes: set[int], edges: list[tuple[int, int, int, int]], ii: int
+) -> bool:
+    """True when some cycle of ``edges`` (``(src, dst, latency(src),
+    dist)``) has ``sum(latency) - ii * sum(dist) > 0``.
+
+    Bellman-Ford for longest paths from a virtual source joined to
+    every node: without a positive cycle the distances settle within
+    ``len(nodes) - 1`` passes after the start, so a relaxation in pass
+    ``len(nodes)`` proves one.
+    """
+    best = dict.fromkeys(nodes, 0)
+    for _ in range(len(nodes)):
+        changed = False
+        for src, dst, lat, dist in edges:
+            reach = best[src] + lat - ii * dist
+            if reach > best[dst]:
+                best[dst] = reach
+                changed = True
+        if not changed:
+            return False
+    return True

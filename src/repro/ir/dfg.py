@@ -447,10 +447,13 @@ class DFG:
         return max(dist.values(), default=0)
 
     def recurrence_cycles(self) -> list[list[int]]:
-        """Simple cycles through loop-carried edges (for RecMII).
+        """Simple cycles through loop-carried edges.
 
         Returns node-id cycles of the full graph (all edges).  Uses
-        networkx's simple_cycles on the exported multigraph.
+        networkx's simple_cycles on the exported multigraph, so it is
+        exponential in the worst case; RecMII
+        (:attr:`repro.core.problem.MappingProblem.rec_mii`) does not
+        enumerate cycles.
         """
         import networkx as nx
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import networkx as nx
-
 from repro.arch.cgra import CGRA
 from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
@@ -48,6 +46,9 @@ class GraphDrawingMapper(Mapper):
     )
 
     def _layout(self, dfg: DFG, seed: int) -> dict[int, tuple[float, float]]:
+        # networkx only here, so importing the mapper stack stays lean.
+        import networkx as nx
+
         g = nx.Graph()
         nodes = [n.nid for n in dfg.nodes() if not n.op.is_pseudo]
         g.add_nodes_from(nodes)

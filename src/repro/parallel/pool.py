@@ -2,16 +2,17 @@
 
 Forking a fresh ``ProcessPoolExecutor`` per call made ``jobs=2``
 *slower* than serial on short mapping sweeps: every call paid pool
-spin-up plus each worker's lazy mapper/solver imports (the registry
-pulls in every mapper module and the scipy-backed ILP backend on first
-``create()``).  This module keeps one pool alive for the whole
-process instead:
+spin-up plus each worker's lazy mapper imports (the registry pulls in
+every mapper module on first ``create()``).  This module keeps one
+pool alive for the whole process instead:
 
-* **Pre-warmed workers** — the parent imports the heavy modules once
+* **Pre-warmed workers** — the parent imports the mapper stack once
   (:func:`prewarm`) *before* forking, so workers inherit a hot
   ``sys.modules`` and the shared read-only arch/kernel tables as
   copy-on-write fork-time snapshots; a worker's own pre-import pass is
-  then a no-op.
+  then a no-op.  scipy and networkx are not part of that stack: a
+  worker imports each where it is first used (an ILP solve, a
+  graph-drawing layout).
 * **Module-level lifecycle** — :func:`get_pool` creates or grows the
   singleton, :func:`warm_pool` additionally round-trips a no-op task
   through every worker (benchmarks call it so timing starts warm),
@@ -124,17 +125,18 @@ class WorkerCrash(Exception):
 # Worker side
 # ---------------------------------------------------------------------------
 def prewarm() -> None:
-    """Import the heavy modules once per process.
+    """Import the mapper stack once per process.
 
-    ``repro.mappers`` registers every mapper and drags in the
-    scipy-backed solver stack — over half a second cold, and exactly
-    the cost that made fork-per-call pools lose to serial.  The parent
-    runs this before the first fork so workers inherit the hot module
-    table; the workers run it again defensively (a no-op after
-    inheritance).
+    ``repro.mappers`` registers every mapper and imports its solvers —
+    about a third of a second cold, the cost that made fork-per-call
+    pools lose to serial.  The parent runs this before the first fork
+    so workers inherit the hot module table; the workers run it again
+    defensively (a no-op after inheritance).  It loads neither scipy
+    nor networkx: the ILP solver and the graph-drawing layout import
+    them on first use, so only a worker that runs one pays for it.
     """
     import repro.ir.kernels  # noqa: F401  (kernel library)
-    import repro.mappers  # noqa: F401  (registry + scipy-backed solvers)
+    import repro.mappers  # noqa: F401  (registry + solvers)
 
 
 def _install_cache(spec: tuple | None) -> None:

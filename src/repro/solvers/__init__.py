@@ -10,7 +10,8 @@ exact mappers need:
 * :mod:`repro.solvers.ilp` — a 0/1-and-bounded-integer linear program
   builder whose models are solved by HiGHS through
   :func:`scipy.optimize.milp` (cross-checked against brute-force
-  enumeration in the test suite);
+  enumeration in the test suite; scipy is imported at the first
+  solve, so importing this package does not load it);
 * :mod:`repro.solvers.sat` — a CDCL SAT solver (1-UIP clause learning,
   VSIDS branching, phase saving, Luby restarts, incremental solving
   under assumptions; the test suite replays its verdicts against a

@@ -5,6 +5,11 @@ by :func:`scipy.optimize.milp`, i.e. HiGHS's own branch and cut.  Sized
 for the mapping formulations in :mod:`repro.mappers`: sparse 0/1
 models with a few thousand variables at most.
 
+scipy is imported at the first solve, not with this module: only the
+exact ILP mappers need it, and it is most of a second and ~40 MB of
+start-up that a process running only heuristics (a ``repro serve``
+daemon and its pool workers, say) never pays.
+
 Model form (minimisation)::
 
     minimise     c @ x
@@ -24,8 +29,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_array
 
 from repro.obs.tracer import SOLVER_CLAUSES, SOLVER_NODES, get_tracer
 from repro.parallel.tasks import time_left
@@ -146,6 +149,9 @@ class ILP:
     def _solve_impl(
         self, node_limit: int, time_limit: float | None
     ) -> ILPResult:
+        from scipy.optimize import Bounds, LinearConstraint, milp
+        from scipy.sparse import csr_array
+
         c = np.zeros(self.n_vars)
         for i, v in self._obj.items():
             c[i] = v

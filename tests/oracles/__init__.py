@@ -22,6 +22,9 @@ the equivalence suites hold the two to byte-identical results.
   of the DFG's edges and the routes, vs the pending-edge set and
   running route length :class:`repro.mappers.construct.PlacementState`
   keeps up to date move by move;
+* :func:`rec_mii_reference` — RecMII as the maximum over networkx's
+  enumerated simple cycles, vs the bisecting positive-cycle test of
+  :attr:`repro.core.problem.MappingProblem.rec_mii`;
 * :class:`DPLLSolver` and :class:`DPLLSATMapper` — chronological DPLL
   and the fresh-encode-per-II SAT mapper on it, vs the incremental
   CDCL :class:`repro.solvers.sat.SatSolver` behind
@@ -34,6 +37,7 @@ inserts the same directory itself.
 
 from oracles.adjplace import compatible, revise_ac1
 from oracles.placement import route_len_scan, unrouted_edges_scan
+from oracles.recmii import rec_mii_reference
 from oracles.routing import DictOccupancy, ReferenceRouter, negotiate_reference
 from oracles.sat import DPLLSATMapper, DPLLSolver
 
@@ -44,6 +48,7 @@ __all__ = [
     "DPLLSolver",
     "ReferenceRouter",
     "negotiate_reference",
+    "rec_mii_reference",
     "revise_ac1",
     "route_len_scan",
     "unrouted_edges_scan",
